@@ -16,7 +16,8 @@
 //! determinism contract: the sharded tick is bit-for-bit identical to the
 //! serial one under migration pressure.
 //!
-//! `--quick` shrinks both measurement windows for CI smoke runs.
+//! `--quick` shrinks both measurement windows for CI smoke runs and leaves
+//! the recorded `BENCH_controller.json` untouched.
 
 use serde::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -281,8 +282,8 @@ fn bitwise_threads_check(branching: &[usize], threads: usize, ticks: usize) -> b
     snap_serial == snap_sharded
 }
 
-/// Run the sweep and write `BENCH_controller.json` into the current
-/// directory.
+/// Run the sweep and, unless `quick`, write `BENCH_controller.json` into
+/// the current directory.
 pub fn run(quick: bool) {
     let (warmup, ticks) = if quick { (32, 64) } else { (128, 1024) };
     println!(
@@ -441,6 +442,11 @@ pub fn run(quick: bool) {
             ("bitwise_equal_serial_vs_4_threads", Value::Bool(bitwise)),
         ]));
     }
+    let path = "BENCH_controller.json";
+    if quick {
+        println!("quick run: {path} left unchanged (full runs only)");
+        return;
+    }
     let doc = obj(vec![
         (
             "_comment",
@@ -460,7 +466,6 @@ pub fn run(quick: bool) {
                 ("supply", Value::Str("ample (450 W x servers)".to_owned())),
                 ("warmup_ticks", Value::U64(warmup as u64)),
                 ("measured_ticks", Value::U64(ticks as u64)),
-                ("quick", Value::Bool(quick)),
                 ("scaling_warmup_ticks", Value::U64(s_warm as u64)),
                 ("scaling_measured_ticks", Value::U64(s_ticks as u64)),
                 ("scaling_bitwise_check_ticks", Value::U64(bit_ticks as u64)),
@@ -485,7 +490,6 @@ pub fn run(quick: bool) {
             ]),
         ),
     ]);
-    let path = "BENCH_controller.json";
     std::fs::write(path, serde_json::to_string_pretty(&doc).unwrap() + "\n").unwrap();
     println!("wrote {path}");
 }

@@ -187,28 +187,20 @@ impl Auditor {
             .collect();
         expected.sort_unstable();
         let counts = vec![0; expected.len()];
-        let mut server_of_node = vec![None; w.tree().len()];
-        for (si, s) in w.servers().iter().enumerate() {
-            server_of_node[s.node.index()] = Some(si);
-        }
-        let prev_tp = w
-            .servers()
-            .iter()
-            .map(|s| w.power().tp[s.node.index()])
-            .collect();
-        let prev_missed = w.watchdogs().iter().map(|wd| wd.missed).collect();
-        Auditor {
+        let mut auditor = Auditor {
             expected,
             counts,
-            server_of_node,
-            prev_tp,
-            prev_missed,
+            server_of_node: Vec::new(),
+            prev_tp: Vec::new(),
+            prev_missed: Vec::new(),
             violations: Vec::new(),
             panic_mode: false,
             total: 0,
             checks: 0,
             tel: willow_telemetry::Counter::default(),
-        }
+        };
+        auditor.resync(w);
+        auditor
     }
 
     /// Enable or disable panic-on-violation (CI mode): any violation found
@@ -252,11 +244,7 @@ impl Auditor {
         self.server_of_node.clear();
         self.server_of_node.resize(w.tree().len(), None);
         for (si, s) in w.servers().iter().enumerate() {
-            // A retired server's arena slot may have been reused by a
-            // later-added server; only live servers own their node.
-            if s.fence != crate::server::FenceState::Retired {
-                self.server_of_node[s.node.index()] = Some(si);
-            }
+            self.server_of_node[s.node.index()] = Some(si);
         }
         for si in self.prev_tp.len()..w.servers().len() {
             self.prev_tp
@@ -342,12 +330,6 @@ impl Auditor {
         // previous audit (misses were > 0 and have not been reset) means
         // the applied budget must not have grown.
         for (si, (server, wd)) in w.servers().iter().zip(watchdogs).enumerate() {
-            // A retired server has no budget to police, and its `node`
-            // field may alias a slot recycled by a later-added live server
-            // — reading `tp` through it would police the wrong machine.
-            if server.fence == crate::server::FenceState::Retired {
-                continue;
-            }
             let tp = power.tp[server.node.index()];
             let still_stale = self.prev_missed[si] > 0 && wd.missed >= self.prev_missed[si];
             if still_stale && tp.0 > self.prev_tp[si].0 + 1e-9 {

@@ -50,9 +50,6 @@ pub enum ConsolidationPolicyChoice {
     /// ordering; default).
     #[default]
     HotZonesFirst,
-    /// Emptiest victims first, fullest receivers first
-    /// ([`EmptiestFirst`](crate::control::EmptiestFirst)).
-    EmptiestFirst,
     /// Receivers with the largest power headroom first
     /// ([`MostHeadroomReceivers`](crate::control::MostHeadroomReceivers)).
     MostHeadroomReceivers,
@@ -456,6 +453,24 @@ mod tests {
     }
 
     #[test]
+    fn removed_consolidation_policy_is_a_config_error() {
+        // `EmptiestFirst` never changed an outcome against `HotZonesFirst`
+        // and was removed; a config naming it must fail loudly, not fall
+        // back to a default.
+        let json = serde_json::to_string(&ControllerConfig::default()).unwrap();
+        let field = "\"consolidation_policy\":\"HotZonesFirst\"";
+        assert!(json.contains(field), "{json}");
+        let json = json.replace(field, "\"consolidation_policy\":\"EmptiestFirst\"");
+        let err = serde_json::from_str::<ControllerConfig>(&json)
+            .expect_err("a removed policy variant must not parse")
+            .to_string();
+        assert!(
+            err.contains("EmptiestFirst"),
+            "error must name the variant: {err}"
+        );
+    }
+
+    #[test]
     fn serde_round_trip_all_variants() {
         // Every enum knob must survive serialization (experiment configs
         // are persisted as JSON by the CLI).
@@ -477,7 +492,7 @@ mod tests {
                 c.thermal_estimate = ThermalEstimate::NaiveThrottle;
                 c.allocation = AllocationPolicy::ProportionalToCapacity;
                 c.target_policy = TargetPolicyChoice::ThermalHeadroom;
-                c.consolidation_policy = ConsolidationPolicyChoice::EmptiestFirst;
+                c.consolidation_policy = ConsolidationPolicyChoice::MostHeadroomReceivers;
                 let json = serde_json::to_string(&c).unwrap();
                 let back: ControllerConfig = serde_json::from_str(&json).unwrap();
                 assert_eq!(c, back);
@@ -491,7 +506,6 @@ mod tests {
         ] {
             for consolidation in [
                 ConsolidationPolicyChoice::HotZonesFirst,
-                ConsolidationPolicyChoice::EmptiestFirst,
                 ConsolidationPolicyChoice::MostHeadroomReceivers,
             ] {
                 for supply in [SupplyPolicyChoice::Reactive, SupplyPolicyChoice::Predictive] {

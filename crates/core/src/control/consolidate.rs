@@ -196,10 +196,9 @@ impl Willow {
             return self.last_dropped;
         };
         let mut active_cap = Watts::ZERO;
-        for (si, server) in self.servers.iter().enumerate() {
-            let leaf = server.node.index();
-            if server.active && server.fence.is_active() && self.leaf_server[leaf] == Some(si) {
-                active_cap += self.power.cap[leaf];
+        for server in &self.servers {
+            if server.active && server.fence.is_active() {
+                active_cap += self.power.cap[server.node.index()];
             }
         }
         let serviceable = pred_supply.min(active_cap);

@@ -524,13 +524,14 @@ fn recover_rejects_mismatched_field() {
     ));
 }
 
-/// Retired-row/recycled-slot aliasing: after `RemoveServer` frees a leaf
-/// slot and a later `AddServer` recycles it, the retired roster row still
-/// carries the old `NodeId`. A directive-loss roll against the *retired*
-/// index must not resurrect a stale budget on the live replacement's leaf
-/// (the pre-fix failure: the retired row wrote `tp_old` back into the
-/// recycled slot while the live row's watchdog read `missed == 0`, so the
-/// auditor flagged a `BudgetOverflow` that no live machine caused).
+/// Retired-row/replacement isolation: after `RemoveServer` detaches a leaf
+/// slot and a later `AddServer` hangs a replacement under the same switch,
+/// the retired roster row still carries the old `NodeId`. The replacement
+/// gets a fresh arena slot, so a directive-loss roll against the *retired*
+/// index cannot reach the live replacement's leaf (when slots were
+/// recycled, the retired row wrote `tp_old` back into the shared slot while
+/// the live row's watchdog read `missed == 0`, so the auditor flagged a
+/// `BudgetOverflow` that no live machine caused).
 #[test]
 fn retired_row_directive_loss_cannot_touch_recycled_slot() {
     use crate::audit::Auditor;
@@ -547,7 +548,7 @@ fn retired_row_directive_loss_cannot_touch_recycled_slot() {
     }
 
     // Drain server 0, retire it, and add a replacement under the same
-    // switch: the new leaf recycles server 0's freed arena slot.
+    // switch: the new leaf gets a fresh arena slot.
     let old_node = w.servers()[0].node;
     let parent = w.tree().parent(old_node).expect("leaf has a parent");
     w.submit_command(Command::Drain { server: 0 });
@@ -567,10 +568,10 @@ fn retired_row_directive_loss_cannot_touch_recycled_slot() {
     });
     w.step(&d, Watts(2000.0));
     let new_si = w.servers().len() - 1;
-    assert_eq!(
+    assert_ne!(
         w.servers()[new_si].node,
         old_node,
-        "the add recycles the freed slot (the aliasing premise)"
+        "the add appends a fresh slot instead of recycling the freed one"
     );
     // Let the idle replacement accumulate a nonzero budget under ample
     // supply, so a resurrected stale value would be visibly too large.
@@ -581,7 +582,7 @@ fn retired_row_directive_loss_cannot_touch_recycled_slot() {
     let mut auditor = Auditor::new(&w);
     // Supply plunge with a directive-loss roll against the RETIRED row:
     // the retired server receives no directives, so nothing may be
-    // counted, no watchdog may move, and the recycled leaf must hold
+    // counted, no watchdog may move, and the replacement leaf must hold
     // exactly its freshly allocated (tight) share.
     let mut lost = Disturbances::none();
     lost.directive_lost = vec![true, false, false, false, false];
@@ -603,7 +604,7 @@ fn retired_row_directive_loss_cannot_touch_recycled_slot() {
     assert!(auditor.check(&w).is_empty(), "clean audit after the roll");
 
     // The open-loop fallback walks the same roster: retired rows must not
-    // count as missed directives or repopulate the recycled slot's cap.
+    // count as missed directives or repopulate their detached slot's cap.
     let mut r = TickReport::default();
     w.step_open_loop(&d, &Disturbances::default(), &mut r);
     assert_eq!(

@@ -159,23 +159,9 @@ impl Willow {
         let n = self.tree.len();
         self.power.ensure_len(n);
         self.fabric.ensure_len(n);
-        if self.local_cp.len() < n {
-            self.local_cp.resize(n, Watts::ZERO);
-        }
-        if self.leaf_server.len() < n {
-            self.leaf_server.resize(n, None);
-        }
-        // A reused tombstone slot may carry state from the server that
-        // used to live there.
-        let li = leaf.index();
-        self.power.cp[li] = Watts::ZERO;
-        self.power.tp[li] = Watts::ZERO;
-        self.power.tp_old[li] = Watts::ZERO;
-        self.power.cap[li] = Watts::ZERO;
-        self.power.reduced[li] = false;
-        self.local_cp[li] = Watts::ZERO;
-        debug_assert!(self.leaf_server[li].is_none(), "slot cleared at removal");
-        self.leaf_server[li] = Some(self.servers.len());
+        self.local_cp.resize(n, Watts::ZERO);
+        self.leaf_server.resize(n, None);
+        self.leaf_server[leaf.index()] = Some(self.servers.len());
         let spec = ServerSpec::simulation_default(leaf);
         let state = ServerState::from_spec_with_smoother(
             &spec,
@@ -194,9 +180,10 @@ impl Willow {
     }
 
     /// Permanently retire a fenced, empty server: remove its tree leaf
-    /// (slot becomes a reusable tombstone), zero its per-node state, and
-    /// mark its server slot [`FenceState::Retired`] — server indices are
-    /// stable for the life of the run, so the slot is never reused.
+    /// (the slot becomes a tombstone), zero its per-node state, and mark
+    /// its server row [`FenceState::Retired`]. Neither the row nor the
+    /// arena slot is ever reused, so the retired row keeps naming its own
+    /// zeroed, detached slot for the rest of the run.
     fn exec_remove_server(&mut self, server: usize) -> Result<(), CommandError> {
         if server >= self.servers.len() {
             return Err(CommandError::UnknownServer(server));

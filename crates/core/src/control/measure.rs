@@ -3,11 +3,12 @@
 //!
 //! The per-server half (demand writes, smoothing, leaf `CP` stores) shards
 //! across the worker pool: each roster row is touched by exactly one shard,
-//! and the arena-indexed `local_cp`/`power.cp` stores are gated on slot
-//! ownership (`leaf_server[leaf] == Some(si)`) so a retired row whose leaf
-//! slot was reused by a later-added server can never race — or clobber —
-//! the live owner's entry. The upward aggregation stays serial (it is one
-//! `O(nodes)` pass over contiguous per-level slices).
+//! and each arena slot is named by at most one roster row for the life of
+//! the run (the tree never reuses a retired server's slot), so the
+//! arena-indexed `local_cp`/`power.cp` stores need no ownership check to
+//! be race-free. A retired row writes only zeros into its own detached
+//! slot, which was zeroed at retirement. The upward aggregation stays
+//! serial (it is one `O(nodes)` pass over contiguous per-level slices).
 
 use super::shard::{shard_range, RawSlice};
 use super::Willow;
@@ -30,7 +31,6 @@ impl Willow {
             let cp = RawSlice::new(&mut self.power.cp);
             let planning = RawSlice::new(&mut self.planning.leaves);
             let disturb = &self.disturb;
-            let leaf_server = &self.leaf_server;
             let lost = &reports_lost;
             self.pool.run(&|k| {
                 let range = shard_range(n, threads, k);
@@ -43,11 +43,6 @@ impl Willow {
                 for (off, server) in servers.iter_mut().enumerate() {
                     let si = range.start + off;
                     let leaf = server.node.index();
-                    // Slot-ownership gate for the arena-indexed stores: a
-                    // retired row must never write the (possibly reused)
-                    // slot — only the live owner does, which also keeps the
-                    // hierarchy's stale view intact under report loss.
-                    let owns = leaf_server[leaf] == Some(si);
                     let mut observed = Watts::ZERO;
                     if server.active {
                         for (i, app) in server.apps.iter().enumerate() {
@@ -62,9 +57,8 @@ impl Willow {
                         let raw = server.raw_demand();
                         let smoothed = server.smoother.observe(raw);
                         observed = smoothed;
-                        debug_assert!(owns, "an active server owns its leaf slot");
-                        // SAFETY: exactly one roster row owns any leaf
-                        // slot, so these scattered writes are race-free.
+                        // SAFETY: at most one roster row ever names any
+                        // leaf slot, so these scattered writes are race-free.
                         unsafe {
                             *local_cp.get_mut(leaf) = smoothed;
                         }
@@ -76,7 +70,7 @@ impl Willow {
                                 *cp.get_mut(leaf) = smoothed;
                             }
                         }
-                    } else if owns {
+                    } else {
                         // SAFETY: as above — sole owner of `leaf`.
                         unsafe {
                             *local_cp.get_mut(leaf) = Watts::ZERO;
@@ -106,10 +100,8 @@ impl Willow {
     /// Stays serial: the open-loop path models per-leaf firmware, not the
     /// controller's hot loop.
     pub(super) fn measure_open_loop(&mut self, app_demand: &[Watts]) {
-        for (si, server) in self.servers.iter_mut().enumerate() {
-            // Ownership gate as in the closed-loop path: a retired row's
-            // recycled slot belongs to the live replacement server.
-            let owns = self.leaf_server[server.node.index()] == Some(si);
+        for server in &mut self.servers {
+            let leaf = server.node.index();
             if server.active {
                 for (i, app) in server.apps.iter().enumerate() {
                     let idx = app.id.0 as usize;
@@ -121,12 +113,9 @@ impl Willow {
                     server.app_demand[i] = app_demand[idx];
                 }
                 let raw = server.raw_demand();
-                let smoothed = server.smoother.observe(raw);
-                if owns {
-                    self.local_cp[server.node.index()] = smoothed;
-                }
-            } else if owns {
-                self.local_cp[server.node.index()] = Watts::ZERO;
+                self.local_cp[leaf] = server.smoother.observe(raw);
+            } else {
+                self.local_cp[leaf] = Watts::ZERO;
             }
             server.pending_cost = Watts::ZERO;
         }

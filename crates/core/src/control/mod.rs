@@ -77,8 +77,8 @@ pub use planning::{
     ForecastModel, Forecaster, HistoryRing, PlanSeries, PlanningContext, HISTORY_DEPTH,
 };
 pub use policy::{
-    AscendingIdTargets, BestFitTargets, ConsolidationOrderPolicy, ControlPolicies, EmptiestFirst,
-    HotZonesFirst, MigrationTargetPolicy, MostHeadroomReceivers, PolicyCtx, ThermalHeadroomTargets,
+    AscendingIdTargets, BestFitTargets, ConsolidationOrderPolicy, ControlPolicies, HotZonesFirst,
+    MigrationTargetPolicy, MostHeadroomReceivers, PolicyCtx, ThermalHeadroomTargets,
 };
 pub use supply::Watchdog;
 pub use telemetry::SPAN_SAMPLE_PERIOD;
@@ -572,18 +572,28 @@ impl Willow {
             }
             None => PlanningContext::for_servers(servers.len()),
         };
+        // One roster row per arena slot for the life of the run: live rows
+        // name distinct live leaves, retired rows their own tombstones. A
+        // retired row naming a live leaf is the shape slot recycling used
+        // to produce, and is rejected like any other shared slot.
         let mut leaf_server = vec![None; tree.len()];
+        let mut named = vec![false; tree.len()];
         for (si, server) in servers.iter().enumerate() {
-            if server.fence == FenceState::Retired {
-                continue;
+            let node = server.node;
+            let retired = server.fence == FenceState::Retired;
+            if node.index() >= tree.len()
+                || !tree.is_leaf(node)
+                || (!retired && tree.is_detached(node))
+            {
+                return Err(WillowError::NotALeaf(node));
             }
-            if !tree.is_leaf(server.node) {
-                return Err(WillowError::NotALeaf(server.node));
+            if named[node.index()] || (retired && !tree.is_detached(node)) {
+                return Err(WillowError::DuplicateLeaf(node));
             }
-            if leaf_server[server.node.index()].is_some() {
-                return Err(WillowError::DuplicateLeaf(server.node));
+            named[node.index()] = true;
+            if !retired {
+                leaf_server[node.index()] = Some(si);
             }
-            leaf_server[server.node.index()] = Some(si);
         }
         let fabric = Fabric::new(&tree);
         let decay_dd = servers
@@ -710,13 +720,8 @@ impl Willow {
 
         // Re-learn the demand hierarchy from the leaves' fresh local view,
         // and re-sum the caps the leaves computed for themselves open-loop.
-        for (si, server) in w.servers.iter().enumerate() {
+        for server in &w.servers {
             let leaf = server.node.index();
-            // Only the slot's owner speaks for it: a retired row whose
-            // node was recycled must not clobber the live server's demand.
-            if w.leaf_server[leaf] != Some(si) {
-                continue;
-            }
             w.power.cp[leaf] = if server.active {
                 w.local_cp[leaf]
             } else {

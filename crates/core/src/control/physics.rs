@@ -21,7 +21,6 @@
 use super::shard::{shard_range, RawSlice};
 use super::Willow;
 use crate::migration::TickReport;
-use crate::server::FenceState;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use willow_thermal::model::step_temperature_with_decay;
 use willow_thermal::units::{Celsius, Watts};
@@ -96,7 +95,6 @@ impl Willow {
             let tp = &self.power.tp;
             let local_cp = &self.local_cp;
             let decay_dd = &self.decay_dd;
-            let leaf_server = &self.leaf_server;
             let disturb = &self.disturb;
             let sensor_slack = self.config.robustness.sensor_slack;
             let qtpw = self.config.query_traffic_per_watt;
@@ -116,14 +114,7 @@ impl Willow {
                 for (off, server) in servers.iter_mut().enumerate() {
                     let si = range.start + off;
                     let leaf = server.node.index();
-                    // A retired server's arena slot may have been reused by
-                    // a later-added server; never report the new owner's
-                    // budget on the retired row.
-                    let budget = if server.fence == FenceState::Retired {
-                        Watts::ZERO
-                    } else {
-                        tp[leaf]
-                    };
+                    let budget = tp[leaf];
                     // The server draws against its *own* demand view:
                     // report loss fools the hierarchy, not the machine.
                     let demand = if server.active {
@@ -162,17 +153,11 @@ impl Willow {
                         predicted
                     };
                     // Indirect network impact: query traffic follows the
-                    // workload. Gated on slot ownership — a retired row
-                    // whose leaf slot was reused must not clobber the live
-                    // owner's entry (the retired row's drawn is zero, and
-                    // its slot either has no leaf or belongs to the new
-                    // owner).
-                    if leaf_server[leaf] == Some(si) {
-                        // SAFETY: exactly one roster row owns any leaf
-                        // slot, so this scattered write is race-free.
-                        unsafe {
-                            *leaf_units.get_mut(leaf) = drawn.0 * qtpw;
-                        }
+                    // workload.
+                    // SAFETY: at most one roster row ever names any leaf
+                    // slot, so this scattered write is race-free.
+                    unsafe {
+                        *leaf_units.get_mut(leaf) = drawn.0 * qtpw;
                     }
                     out_power[off] = drawn;
                     out_budget[off] = budget;

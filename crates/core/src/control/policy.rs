@@ -17,7 +17,7 @@
 //! [`Willow::new`](super::Willow::new) installs, selecting implementations
 //! from `ControllerConfig::{packer, target_policy, consolidation_policy}`.
 //! The built-in alternatives ([`BestFitTargets`], [`ThermalHeadroomTargets`],
-//! [`EmptiestFirst`], [`MostHeadroomReceivers`]) are raced head-to-head by
+//! [`MostHeadroomReceivers`]) are raced head-to-head by
 //! the `repro ablate` harness; out-of-tree policies can still plug in via
 //! [`Willow::with_policies`](super::Willow::with_policies).
 //!
@@ -25,10 +25,10 @@
 //! harnesses compare trajectories bit-for-bit, and a restored controller
 //! reconstructs its policies from config alone. Policy *objects* carry no
 //! serialized state; history and forecasts live in the controller's
-//! [`PlanningContext`](super::planning::PlanningContext) (which *is*
-//! checkpointed) and reach every callback as the read-only `plan`
-//! argument. The built-in orderings ignore it — horizon-aware behavior is
-//! opt-in per policy, and ignoring the context is always bit-neutral.
+//! [`PlanningContext`] (which *is* checkpointed) and reach every callback
+//! as the read-only `plan` argument. The built-in orderings ignore it —
+//! horizon-aware behavior is opt-in per policy, and ignoring the context
+//! is always bit-neutral.
 
 use crate::config::{ConsolidationPolicyChoice, ControllerConfig, TargetPolicyChoice};
 use crate::control::planning::PlanningContext;
@@ -206,44 +206,6 @@ impl ConsolidationOrderPolicy for HotZonesFirst {
     }
 }
 
-/// Emptiest-first consolidation ordering: victims ascending by utilization
-/// (the emptiest server is the cheapest to evacuate completely, so servers
-/// empty — and sleep — at the highest rate per migrated watt), receivers
-/// most-utilized first (fill the fullest running servers, never fan load
-/// out across near-idle ones). Ignores thermal zoning entirely — the
-/// ablation foil for [`HotZonesFirst`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EmptiestFirst;
-
-impl ConsolidationOrderPolicy for EmptiestFirst {
-    fn order_victims(
-        &self,
-        ctx: &PolicyCtx<'_>,
-        _plan: &PlanningContext,
-        victims: &mut Vec<usize>,
-    ) {
-        victims.sort_unstable_by(|&a, &b| {
-            ctx.servers[a]
-                .utilization()
-                .total_cmp(&ctx.servers[b].utilization())
-                .then(a.cmp(&b))
-        });
-    }
-
-    fn order_receivers(
-        &self,
-        ctx: &PolicyCtx<'_>,
-        _plan: &PlanningContext,
-        receivers: &mut [NodeId],
-    ) {
-        receivers.sort_unstable_by(|a, b| {
-            ctx.leaf_utilization(*b)
-                .total_cmp(&ctx.leaf_utilization(*a))
-                .then(a.cmp(b))
-        });
-    }
-}
-
 /// Headroom-seeking consolidation ordering: victims as in [`HotZonesFirst`]
 /// (hot zones evacuate first), but receivers ordered by largest *power*
 /// headroom (budget minus current demand) instead of largest hard cap —
@@ -295,7 +257,6 @@ impl ControlPolicies {
         };
         let consolidation: Box<dyn ConsolidationOrderPolicy> = match config.consolidation_policy {
             ConsolidationPolicyChoice::HotZonesFirst => Box::new(HotZonesFirst),
-            ConsolidationPolicyChoice::EmptiestFirst => Box::new(EmptiestFirst),
             ConsolidationPolicyChoice::MostHeadroomReceivers => Box::new(MostHeadroomReceivers),
         };
         ControlPolicies {

@@ -257,9 +257,9 @@ impl<T> RawSlice<T> {
     ///
     /// # Safety
     /// `i` must be in bounds, and no other thread may touch index `i`
-    /// during the same parallel region (in this module: writes to slot `i`
-    /// are gated on an ownership predicate that holds for exactly one
-    /// shard, e.g. `leaf_server[i] == Some(si)` with `si` shard-local).
+    /// during the same parallel region (in this crate: arena slot `i` is
+    /// written only by the one roster row that ever names it, and that
+    /// row belongs to exactly one shard).
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn get_mut(&self, i: usize) -> &mut T {
         debug_assert!(i < self.len);

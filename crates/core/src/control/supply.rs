@@ -184,22 +184,14 @@ impl Willow {
             let accepted_temp = &self.accepted_temp;
             let decay_ds = &self.decay_ds;
             let config = &self.config;
-            let leaf_server = &self.leaf_server;
             self.pool.run(&|k| {
                 for si in shard_range(n, threads, k) {
                     let leaf = servers[si].node.index();
-                    // Slot-ownership gate: a retired row must not write a
-                    // reused slot. Its own effective cap is zero, and its
-                    // slot was zeroed at retirement, so skipping the write
-                    // is value-identical to the serial loop.
-                    if leaf_server[leaf] == Some(si) {
-                        let c =
-                            effective_cap_of(&servers[si], accepted_temp[si], decay_ds[si], config);
-                        // SAFETY: exactly one roster row owns any leaf
-                        // slot, so this scattered write is race-free.
-                        unsafe {
-                            *cap.get_mut(leaf) = c;
-                        }
+                    let c = effective_cap_of(&servers[si], accepted_temp[si], decay_ds[si], config);
+                    // SAFETY: at most one roster row ever names any leaf
+                    // slot, so this scattered write is race-free.
+                    unsafe {
+                        *cap.get_mut(leaf) = c;
                     }
                 }
             });
@@ -274,14 +266,11 @@ impl Willow {
         // the leaf self-imposes a conservative fallback cap (a fraction of
         // its rating) until a directive gets through again.
         for si in 0..self.servers.len() {
-            let leaf = self.servers[si].node.index();
-            // Slot-ownership gate (as in the cap refresh above): a retired
-            // row receives no directives, and its arena slot may since have
-            // been recycled by a live replacement — rolling its directive
-            // loss here would resurrect a stale budget on the live leaf.
-            if self.leaf_server[leaf] != Some(si) {
+            // A retired machine receives no directives, so it misses none.
+            if self.servers[si].fence == FenceState::Retired {
                 continue;
             }
+            let leaf = self.servers[si].node.index();
             if self.disturb.directive_lost(si) {
                 let base = self.power.tp_old[leaf];
                 let cap = self.power.cap[leaf];
@@ -329,12 +318,11 @@ impl Willow {
     /// budget for `tp_old` to snapshot.
     pub(super) fn open_loop_supply_fallback(&mut self) {
         for si in 0..self.servers.len() {
-            let leaf = self.servers[si].node.index();
-            // Retired rows own no slot: they miss no directives and must
-            // not repopulate the (possibly recycled) leaf's cap or budget.
-            if self.leaf_server[leaf] != Some(si) {
+            // A retired machine receives no directives, so it misses none.
+            if self.servers[si].fence == FenceState::Retired {
                 continue;
             }
+            let leaf = self.servers[si].node.index();
             let cap = self.thermal_cap(si);
             self.power.cap[leaf] = cap;
             let base = self.power.tp[leaf];

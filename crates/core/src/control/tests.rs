@@ -470,7 +470,6 @@ fn every_policy_combo_is_deterministic_and_conserves_apps() {
     ] {
         for consolidation in [
             ConsolidationPolicyChoice::HotZonesFirst,
-            ConsolidationPolicyChoice::EmptiestFirst,
             ConsolidationPolicyChoice::MostHeadroomReceivers,
         ] {
             let (tree, specs, n_apps) = small_setup(2);

@@ -204,8 +204,9 @@ fn run_thread_differential(seed: u64, ticks: u64, threads: usize, demand_scale: 
     let mut serial = Willow::new(tree.clone(), specs.clone(), config).unwrap();
     let mut sharded = Willow::new(tree.clone(), specs, par_config).unwrap();
 
-    // Live-ops command script: drain → retire → re-add on the same leaf
-    // position (exercising arena slot reuse under parallelism), a packer
+    // Live-ops command script: drain → retire → re-add under the same
+    // switch (a retired row beside its fresh-slot replacement under
+    // parallelism), a packer
     // hot-swap, and a pause/resume window — submitted identically to both.
     let parent = tree.parent(serial.servers()[0].node).unwrap();
     let script: Vec<(u64, crate::command::Command)> = vec![

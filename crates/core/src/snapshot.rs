@@ -212,7 +212,7 @@ mod tests {
         let mut cfg = ControllerConfig::default();
         cfg.packer = PackerChoice::BestFitDecreasing;
         cfg.target_policy = TargetPolicyChoice::ThermalHeadroom;
-        cfg.consolidation_policy = ConsolidationPolicyChoice::EmptiestFirst;
+        cfg.consolidation_policy = ConsolidationPolicyChoice::MostHeadroomReceivers;
         let mut original = Willow::new(tree, specs, cfg).unwrap();
         let n_apps = id as usize;
         let _ = drive(&mut original, n_apps, 37);
@@ -364,6 +364,47 @@ mod tests {
         let a = drive(&mut w, n_apps, 20);
         let b = drive(&mut restored, n_apps, 20);
         assert_eq!(a, b, "restored controller must continue identically");
+    }
+
+    #[test]
+    fn restore_rejects_rows_sharing_an_arena_slot() {
+        // Each arena slot is named by at most one roster row for the life
+        // of a run, so a checkpoint breaking that rule is rejected.
+        use crate::command::Command;
+        use crate::server::FenceState;
+        let (mut w, n_apps) = setup();
+        let _ = drive(&mut w, n_apps, 5);
+        w.submit_command(Command::Drain { server: 1 });
+        let _ = drive(&mut w, n_apps, 10);
+        w.submit_command(Command::RemoveServer { server: 1 });
+        let _ = drive(&mut w, n_apps, 5);
+        assert_eq!(w.servers()[1].fence, FenceState::Retired);
+        let live_leaf = w.servers()[0].node;
+        let tombstone = w.servers()[1].node;
+
+        // The legacy recycled shape: a retired row names a live leaf that a
+        // live row also names.
+        let mut snap = w.snapshot();
+        snap.servers[1].node = live_leaf;
+        assert_eq!(
+            Willow::restore(snap).err(),
+            Some(WillowError::DuplicateLeaf(live_leaf))
+        );
+        // A live row parked on a tombstone names no live leaf.
+        let mut snap = w.snapshot();
+        snap.servers[0].node = tombstone;
+        assert_eq!(
+            Willow::restore(snap).err(),
+            Some(WillowError::NotALeaf(tombstone))
+        );
+        // A retired row pointing outside the arena.
+        let mut snap = w.snapshot();
+        let outside = NodeId(snap.tree.len() as u32);
+        snap.servers[1].node = outside;
+        assert_eq!(
+            Willow::restore(snap).err(),
+            Some(WillowError::NotALeaf(outside))
+        );
     }
 
     #[test]

@@ -101,11 +101,20 @@ proptest! {
                         );
                     }
                     FenceState::Retired => {
-                        // Its arena slot may have been reused by a later
-                        // AddServer, so only the roster entry is checked.
+                        // Arena slots are never reused, so the retired row
+                        // still names its own detached, zero-budget slot.
                         prop_assert!(
                             s.apps.is_empty(),
                             "tick {}: retired server {} still hosts apps", t, si
+                        );
+                        prop_assert!(
+                            w.tree().is_detached(s.node),
+                            "tick {}: retired server {} names a live slot", t, si
+                        );
+                        prop_assert_eq!(
+                            w.power().tp[s.node.index()],
+                            Watts::ZERO,
+                            "tick {}: retired server {} holds a nonzero budget", t, si
                         );
                     }
                     FenceState::Active | FenceState::Draining => {}

@@ -634,11 +634,12 @@ impl Tree {
 
     /// Online insertion of a new leaf under level-1 parent `parent`.
     ///
-    /// The lowest detached tombstone slot is reused if one exists,
-    /// otherwise the arena grows by one slot (callers holding
-    /// index-parallel state vectors must resize them to [`Tree::len`]
-    /// afterwards). All derived indices (levels, Euler-tour leaf order and
-    /// spans) are rebuilt, so range queries stay coherent.
+    /// The arena always grows by one fresh slot; detached tombstones are
+    /// never reused, so a slot names at most one leaf for the tree's whole
+    /// life (callers holding index-parallel state vectors must resize them
+    /// to [`Tree::len`] afterwards). All derived indices (levels,
+    /// Euler-tour leaf order and spans) are rebuilt, so range queries stay
+    /// coherent.
     ///
     /// # Errors
     /// - [`TreeError::UnknownNode`] / [`TreeError::Detached`] — `parent`
@@ -665,24 +666,13 @@ impl Tree {
         // columns. Edits are rare (operator commands), so the O(n) rebuild
         // is the price of keeping every hot-path index contiguous.
         let mut nodes = self.to_arena();
-        let reusable = self.detached_slots().next();
-        let id = match reusable {
-            Some(slot) => slot,
-            None => {
-                nodes.push(Node {
-                    parent: None,
-                    children: Vec::new(),
-                    level: 0,
-                    name: String::new(),
-                });
-                NodeId((nodes.len() - 1) as u32)
-            }
-        };
-        let node = &mut nodes[id.index()];
-        node.parent = Some(parent);
-        node.children.clear();
-        node.level = 0;
-        name.clone_into(&mut node.name);
+        let id = NodeId(nodes.len() as u32);
+        nodes.push(Node {
+            parent: Some(parent),
+            children: Vec::new(),
+            level: 0,
+            name: name.to_owned(),
+        });
         nodes[parent.index()].children.push(id);
         *self =
             Tree::from_arena(nodes, self.root).expect("validated edit keeps the arena well-formed");
@@ -692,7 +682,8 @@ impl Tree {
     /// Online removal of leaf `leaf`, leaving a detached tombstone slot.
     ///
     /// The arena keeps its size (so index-parallel state vectors stay
-    /// valid) and the slot is reusable by a later [`Tree::insert_leaf`].
+    /// valid) and the slot stays detached forever: [`Tree::insert_leaf`]
+    /// never reuses it.
     /// All derived indices are rebuilt.
     ///
     /// # Errors
@@ -990,7 +981,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_then_insert_reuses_slot() {
+    fn remove_then_insert_appends_fresh_slot() {
         let mut t = Tree::paper_fig3();
         let n = t.len();
         let victim = t.find("server5").unwrap();
@@ -1003,9 +994,10 @@ mod tests {
         assert_coherent(&t);
 
         let added = t.insert_leaf(parent, "server5b").unwrap();
-        assert_eq!(added, victim, "lowest tombstone slot is reused");
-        assert_eq!(t.len(), n);
+        assert_eq!(added.index(), n, "the tombstone is not reused");
+        assert_eq!(t.len(), n + 1, "arena grows by one");
         assert_eq!(t.live_len(), n);
+        assert!(t.is_detached(victim), "tombstone stays detached");
         assert_eq!(t.find("server5b"), Some(added));
         assert!(t.leaf_range(parent).contains(&added));
         assert_coherent(&t);
