@@ -23,9 +23,15 @@
 //!
 //! [`Auditor::check`] verifies all four against a [`Willow`] in `O(apps +
 //! nodes)` with no steady-state allocation, returning typed
-//! [`InvariantViolation`]s. The chaos harness and the simulation engine
-//! run it after every tick; [`Auditor::panic_on_violation`] turns any
-//! violation into a panic for CI.
+//! [`InvariantViolation`]s. App conservation finds each hosted app's
+//! universe entry through a table indexed by `AppId.0` — one load per
+//! app, no search — so the check is linear in the apps it visits. The
+//! table holds one `u32` per id up to the universe's largest; the
+//! controller already indexes its per-app demand vector by `AppId.0`, so
+//! the table is never longer than that vector (4 B per id against its
+//! 8 B). The chaos harness and the simulation engine run the check after
+//! every tick; [`Auditor::panic_on_violation`] turns any violation into a
+//! panic for CI.
 
 use crate::controller::Willow;
 use willow_thermal::units::Watts;
@@ -147,15 +153,25 @@ const BUDGET_EPS: f64 = 1e-9;
 /// Tolerance below zero for "non-negative" watts.
 const NEG_EPS: f64 = -1e-9;
 
+/// `position` entry of an id outside the audited universe.
+const NOT_EXPECTED: u32 = u32::MAX;
+
 /// Per-tick invariant checker over a [`Willow`] controller.
 ///
 /// The audited application universe is fixed at construction (apps are
-/// migrated, never created or destroyed). All working storage is reused
+/// migrated, never created or destroyed). Each check costs `O(apps +
+/// nodes)`: a hosted app's universe entry is found by indexing a table
+/// with its `AppId.0`, sized to the largest id in the universe. Ids in a
+/// gap of the universe or above its largest are reported as
+/// [`InvariantViolation::AppUnknown`]. All working storage is reused
 /// across [`Auditor::check`] calls, so a clean audit allocates nothing.
 #[derive(Debug)]
 pub struct Auditor {
     /// The application universe, sorted by id.
     expected: Vec<AppId>,
+    /// Position in `expected` of each id, indexed by `AppId.0`;
+    /// [`NOT_EXPECTED`] for ids outside the universe.
+    position: Vec<u32>,
     /// Scratch: hosted copies seen per `expected` entry.
     counts: Vec<u32>,
     /// Server index hosted at each arena node, if the node is a leaf.
@@ -186,9 +202,15 @@ impl Auditor {
             .flat_map(|s| s.apps.iter().map(|a| a.id))
             .collect();
         expected.sort_unstable();
+        let table_len = expected.last().map_or(0, |id| id.0 as usize + 1);
+        let mut position = vec![NOT_EXPECTED; table_len];
+        for (pos, id) in expected.iter().enumerate() {
+            position[id.0 as usize] = u32::try_from(pos).expect("app universe fits u32 positions");
+        }
         let counts = vec![0; expected.len()];
         let mut auditor = Auditor {
             expected,
+            position,
             counts,
             server_of_node: Vec::new(),
             prev_tp: Vec::new(),
@@ -274,9 +296,9 @@ impl Auditor {
                     });
             }
             for app in &server.apps {
-                match self.expected.binary_search(&app.id) {
-                    Ok(pos) => self.counts[pos] += 1,
-                    Err(_) => self.violations.push(InvariantViolation::AppUnknown {
+                match self.position.get(app.id.0 as usize) {
+                    Some(&pos) if pos != NOT_EXPECTED => self.counts[pos as usize] += 1,
+                    _ => self.violations.push(InvariantViolation::AppUnknown {
                         app: app.id,
                         server: si,
                     }),

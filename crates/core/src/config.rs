@@ -78,6 +78,17 @@ pub enum SupplyPolicyChoice {
     Predictive,
 }
 
+impl SupplyPolicyChoice {
+    /// Whether this policy reads per-server demand forecasts (the
+    /// predictive consolidation-victim veto). The controller keeps
+    /// per-leaf planning series only for such a policy; the choice is
+    /// fixed for the life of a run.
+    #[must_use]
+    pub fn reads_leaf_forecasts(self) -> bool {
+        self == SupplyPolicyChoice::Predictive
+    }
+}
+
 /// How the unidirectional "no migrations into reduced-budget nodes" rule
 /// (§IV-E) is interpreted. See `DESIGN.md`: the literal reading conflicts
 /// with the paper's own deficit experiment, where a global supply plunge —

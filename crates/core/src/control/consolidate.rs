@@ -156,12 +156,10 @@ impl Willow {
 
     /// True when the predictive policy forecasts server `si`'s demand to
     /// cross the consolidation threshold within one consolidation period
-    /// (`η2` demand periods). Always false under the reactive default, and
-    /// for servers without enough history to forecast.
+    /// (`η2` demand periods). Always false under the reactive default,
+    /// whose planning context holds no per-leaf series, and for servers
+    /// without enough history to forecast.
     fn predicted_above_threshold(&self, si: usize, plan: &PlanningContext) -> bool {
-        if self.config.supply_policy != SupplyPolicyChoice::Predictive {
-            return false;
-        }
         let Some(pred) = plan.predicted_leaf_demand(si, self.config.eta2) else {
             return false;
         };

@@ -698,6 +698,81 @@ mod audit_detection {
         )));
     }
 
+    /// The auditor looks apps up by id: ids in a gap of the universe and
+    /// above its largest are both unknown, and lost/duplicated apps are
+    /// reported in ascending id order whatever servers host them.
+    #[test]
+    fn sparse_id_universe_lookup_and_report_order() {
+        let tree = Tree::uniform(&[2, 2]);
+        // Ids 1, 4, 7, …, 22: two per server, gaps between every pair.
+        let specs: Vec<ServerSpec> = tree
+            .leaves()
+            .enumerate()
+            .map(|(i, leaf)| {
+                let apps = (0..2)
+                    .map(|k| {
+                        let id = AppId(3 * (2 * i + k) as u32 + 1);
+                        Application::new(id, 0, &SIM_APP_CLASSES[0])
+                    })
+                    .collect();
+                ServerSpec::simulation_default(leaf).with_apps(apps)
+            })
+            .collect();
+        let mut w = Willow::new(tree, specs, ControllerConfig::default()).unwrap();
+        let mut a = Auditor::new(&w);
+        assert!(a.check(&w).is_empty());
+
+        let app = |id: u32| Application::new(AppId(id), 0, &SIM_APP_CLASSES[0]);
+        w.servers[0].apps.push(app(5)); // gap between 4 and 7
+        w.servers[1].apps.push(app(23)); // above the largest id, 22
+        let unknown: Vec<_> = a
+            .check(&w)
+            .iter()
+            .filter(|v| matches!(v, InvariantViolation::AppUnknown { .. }))
+            .copied()
+            .collect();
+        assert_eq!(
+            unknown,
+            [
+                InvariantViolation::AppUnknown {
+                    app: AppId(5),
+                    server: 0
+                },
+                InvariantViolation::AppUnknown {
+                    app: AppId(23),
+                    server: 1
+                },
+            ]
+        );
+        w.servers[0].apps.pop();
+        w.servers[1].apps.pop();
+
+        // Duplicate 13 (server 2) onto server 0 and 1 (server 0) onto
+        // server 3; lose 16 (server 2) and 4 (server 0). The roster visits
+        // 13's copy before 1's, yet the report runs 1, 4, 13, 16.
+        let copy13 = w.servers[2].apps[0].clone();
+        let copy1 = w.servers[0].apps[0].clone();
+        w.servers[0].apps.push(copy13);
+        w.servers[3].apps.push(copy1);
+        assert_eq!(w.servers[2].apps.remove(1).id, AppId(16));
+        assert_eq!(w.servers[0].apps.remove(1).id, AppId(4));
+        assert_eq!(
+            a.check(&w),
+            [
+                InvariantViolation::AppDuplicated {
+                    app: AppId(1),
+                    copies: 2
+                },
+                InvariantViolation::AppLost { app: AppId(4) },
+                InvariantViolation::AppDuplicated {
+                    app: AppId(13),
+                    copies: 2
+                },
+                InvariantViolation::AppLost { app: AppId(16) },
+            ]
+        );
+    }
+
     #[test]
     fn detects_budget_overflow_and_stale_loosening() {
         let mut w = settled();

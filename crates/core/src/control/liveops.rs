@@ -174,7 +174,9 @@ impl Willow {
         self.decay_ds
             .push(decay_factor(state.thermal.params(), self.config.delta_s()));
         self.servers.push(state);
-        self.planning.push_server();
+        if self.config.supply_policy.reads_leaf_forecasts() {
+            self.planning.push_server();
+        }
         self.rebuild_stage_scratch();
         Ok(())
     }

@@ -24,7 +24,13 @@ impl Willow {
         let n = self.servers.len();
         let threads = self.pool.threads();
         let reports_lost = AtomicUsize::new(0);
-        debug_assert_eq!(self.planning.leaves.len(), n, "planning tracks the roster");
+        // Per-leaf planning series exist only under a policy that reads
+        // them (see `super::planning`); when they do, one per roster row.
+        let feed_leaves = !self.planning.leaves.is_empty();
+        debug_assert!(
+            !feed_leaves || self.planning.leaves.len() == n,
+            "planning tracks the roster"
+        );
         {
             let servers = RawSlice::new(&mut self.servers);
             let local_cp = RawSlice::new(&mut self.local_cp);
@@ -37,9 +43,14 @@ impl Willow {
                 // SAFETY: shard ranges over server indices are pairwise
                 // disjoint, and `servers` is indexed by server.
                 let servers = unsafe { servers.range_mut(range.clone()) };
-                // SAFETY: `planning.leaves` is indexed by server like the
-                // roster itself, so this shard's sub-slice is disjoint too.
-                let plan_leaves = unsafe { planning.range_mut(range.clone()) };
+                let plan_leaves = if feed_leaves {
+                    // SAFETY: `planning.leaves` is indexed by server like
+                    // the roster itself, so this shard's sub-slice is
+                    // disjoint too.
+                    unsafe { planning.range_mut(range.clone()) }
+                } else {
+                    &mut []
+                };
                 for (off, server) in servers.iter_mut().enumerate() {
                     let si = range.start + off;
                     let leaf = server.node.index();
@@ -77,11 +88,14 @@ impl Willow {
                             *cp.get_mut(leaf) = Watts::ZERO;
                         }
                     }
-                    // Planning seam: feed this server's demand series —
-                    // the smoothed view for active servers, zero while
-                    // asleep/retired. Per-row like everything above, so
-                    // serial and sharded runs observe identical sequences.
-                    plan_leaves[off].observe(observed);
+                    // Planning seam: feed this server's demand series, if
+                    // tracked — the smoothed view for active servers, zero
+                    // while asleep/retired. Per-row like everything above,
+                    // so serial and sharded runs observe identical
+                    // sequences.
+                    if let Some(series) = plan_leaves.get_mut(off) {
+                        series.observe(observed);
+                    }
                     // Migration costs are charged for exactly one period.
                     server.pending_cost = Watts::ZERO;
                 }

@@ -250,10 +250,11 @@ pub struct Willow {
     /// ordering, consolidation ordering), boxed once at construction.
     pub(super) policies: ControlPolicies,
     /// The horizon-aware planning seam (see [`planning`]): history rings
-    /// and forecasters for root supply, root demand, and every roster
-    /// server, updated once per tick and handed read-only to stages 2–4
-    /// and the policy traits. Checkpointed, so restored controllers keep
-    /// forecasting bit-for-bit.
+    /// and forecasters for root supply, root demand, and — only under a
+    /// policy that reads them — every roster server, updated once per
+    /// tick and handed read-only to stages 2–4 and the policy traits.
+    /// Checkpointed, so restored controllers keep forecasting
+    /// bit-for-bit.
     pub(super) planning: PlanningContext,
     /// Telemetry handles (disabled until [`Willow::attach_telemetry`]).
     pub(super) tel: ControllerTelemetry,
@@ -338,7 +339,7 @@ impl Willow {
         let consolidate_stage = ConsolidateStage::for_tree(&tree, servers.len());
         let physics_stage = PhysicsStage::for_tree(&tree, servers.len());
         let pool = ShardPool::new(shard::resolve_threads(config.threads));
-        let planning = PlanningContext::for_servers(servers.len());
+        let planning = PlanningContext::for_policy(config.supply_policy, servers.len());
         Ok(Willow {
             tree,
             config,
@@ -564,13 +565,20 @@ impl Willow {
         shape("watchdog", watchdog.len(), servers.len())?;
         shape("accepted_temp", accepted_temp.len(), servers.len())?;
         // Pre-planning snapshots carry no context; restart the forecasts
-        // from scratch rather than rejecting the checkpoint.
+        // from scratch rather than rejecting the checkpoint. Per-leaf
+        // series are kept only under a policy that reads them: checkpoints
+        // that carry them under any other policy (the shape before they
+        // became policy-gated) restore with them dropped.
         let planning = match planning {
-            Some(p) => {
-                shape("planning", p.leaves.len(), servers.len())?;
+            Some(mut p) => {
+                if config.supply_policy.reads_leaf_forecasts() {
+                    shape("planning", p.leaves.len(), servers.len())?;
+                } else {
+                    p.leaves = Vec::new();
+                }
                 p
             }
-            None => PlanningContext::for_servers(servers.len()),
+            None => PlanningContext::for_policy(config.supply_policy, servers.len()),
         };
         // One roster row per arena slot for the life of the run: live rows
         // name distinct live leaves, retired rows their own tombstones. A
@@ -855,10 +863,10 @@ impl Willow {
         self.process_commands(report);
 
         // -------------------------------------- 1c. planning observation
-        // Root aggregate demand every tick (per-leaf series were fed
-        // inside the sharded measure loop); supply only when a value is
-        // actually applied, so the supply series' horizon unit stays one
-        // supply period. The context is then lent to stages 2–4 —
+        // Root aggregate demand every tick (per-leaf series, when
+        // tracked, were fed inside the sharded measure loop); supply only
+        // when a value is actually applied, so the supply series' horizon
+        // unit stays one supply period. The context is then lent to stages 2–4 —
         // `mem::take` leaves the inert zero-capacity placeholder, which
         // nothing observes until the real context returns.
         let root = self.tree.root();

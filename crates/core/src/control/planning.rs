@@ -16,9 +16,19 @@
 //! * [`PlanSeries`] — one tracked series: a ring plus a model, fed
 //!   together;
 //! * [`PlanningContext`] — the controller's full planning state: root
-//!   supply, root aggregate demand, and one series per roster server. The
-//!   measure stage updates it once per tick; stages 2–4 and the policy
-//!   traits receive it as `&PlanningContext`.
+//!   supply, root aggregate demand, and — only under a supply policy that
+//!   reads per-server forecasts (`Predictive`) — one series per roster
+//!   server. The root series are fed once per tick after the command
+//!   plane (supply only on applied supply ticks); the per-server series,
+//!   when present, inside the sharded measure loop. Stages 2–4 and the
+//!   policy traits receive the context as `&PlanningContext`.
+//!
+//! **Per-server series follow the policy.** Only the predictive
+//! consolidation-victim veto reads a per-server forecast, and the supply
+//! policy is fixed for the life of a run, so under any other policy the
+//! context holds no per-server series and the measure stage feeds none:
+//! the data layout, not a per-tick branch on the config, decides.
+//! `AddServer` grows the series only when they are tracked.
 //!
 //! **Horizon semantics.** Leaf and root-demand series observe once per
 //! demand period, so `predict(h)` is `h` demand periods (`h·Δ_D`) ahead.
@@ -33,6 +43,7 @@
 //! the default policies ignore the context entirely — attaching it changes
 //! no reactive trajectory bit and allocates nothing in steady state.
 
+use crate::config::SupplyPolicyChoice;
 use serde::{Deserialize, Serialize};
 use willow_thermal::units::Watts;
 use willow_workload::smoothing::{ExpSmoother, HoltSmoother};
@@ -262,8 +273,8 @@ impl PlanSeries {
     }
 }
 
-/// The controller's complete planning state, updated once per tick by the
-/// measure stage and handed read-only to stages 2–4 and the policy traits.
+/// The controller's complete planning state, updated once per tick and
+/// handed read-only to stages 2–4 and the policy traits.
 ///
 /// Serialized whole inside `WillowSnapshot` (restore continues forecasts
 /// bit-for-bit); `recover` keeps the checkpoint's context — forecaster
@@ -283,12 +294,14 @@ pub struct PlanningContext {
     pub root_demand: PlanSeries,
     /// Per-server demand series, indexed by roster (server) order like
     /// `Willow::servers` — including retired slots, which observe zero.
-    /// Horizon unit: demand periods (`Δ_D`).
+    /// Empty unless the supply policy reads per-server forecasts (see
+    /// [`PlanningContext::for_policy`]). Horizon unit: demand periods
+    /// (`Δ_D`).
     pub leaves: Vec<PlanSeries>,
 }
 
 impl PlanningContext {
-    /// A fresh context for a roster of `n` servers, no history yet.
+    /// A fresh context with `n` per-server series, no history yet.
     #[must_use]
     pub fn for_servers(n: usize) -> Self {
         PlanningContext {
@@ -298,8 +311,21 @@ impl PlanningContext {
         }
     }
 
+    /// A fresh context for a roster of `servers` rows run under `policy`:
+    /// one per-server series per row if the policy reads per-server
+    /// forecasts, none otherwise.
+    #[must_use]
+    pub fn for_policy(policy: SupplyPolicyChoice, servers: usize) -> Self {
+        PlanningContext::for_servers(if policy.reads_leaf_forecasts() {
+            servers
+        } else {
+            0
+        })
+    }
+
     /// Grow the per-server series alongside a roster addition (the
-    /// live-ops `AddServer` path). The new series starts with no history.
+    /// live-ops `AddServer` path, which calls this only while the series
+    /// are tracked). The new series starts with no history.
     pub fn push_server(&mut self) {
         self.leaves.push(PlanSeries::standard());
     }
@@ -317,7 +343,8 @@ impl PlanningContext {
     }
 
     /// Forecast server `si`'s demand `h` demand periods ahead. `None` for
-    /// out-of-roster indices or series without observations.
+    /// out-of-roster indices, untracked per-server series, or series
+    /// without observations.
     #[must_use]
     pub fn predicted_leaf_demand(&self, si: usize, h: u32) -> Option<Watts> {
         self.leaves.get(si).and_then(|s| s.predict(h))
@@ -431,6 +458,47 @@ mod tests {
         // The restored context continues forecasting identically.
         assert_eq!(back.predicted_root_demand(3), ctx.predicted_root_demand(3));
         assert_eq!(back.predicted_supply(1), ctx.predicted_supply(1));
+    }
+
+    /// Per-server series follow the supply policy: none under Reactive,
+    /// one per roster row under Predictive, grown by `AddServer`. The
+    /// root series are fed under both.
+    #[test]
+    fn controller_tracks_leaf_series_only_under_predictive() {
+        use crate::command::Command;
+        use crate::config::ControllerConfig;
+        use crate::control::testutil::{demands, small_setup};
+        use crate::controller::Willow;
+
+        let (tree, specs, n_apps) = small_setup(1);
+        let d = demands(n_apps, 30.0);
+        let predictive = ControllerConfig {
+            supply_policy: SupplyPolicyChoice::Predictive,
+            ..ControllerConfig::default()
+        };
+        for (config, tracked) in [(ControllerConfig::default(), false), (predictive, true)] {
+            let mut w = Willow::new(tree.clone(), specs.clone(), config).unwrap();
+            let expected = |w: &Willow| if tracked { w.servers().len() } else { 0 };
+            assert_eq!(w.planning().leaves.len(), expected(&w));
+            for _ in 0..3 {
+                w.step(&d, Watts(2000.0));
+            }
+            assert!(w.planning().root_demand.latest().is_some());
+            assert!(w.planning().leaves.iter().all(|s| s.history.len() == 3));
+
+            let parent = w.tree().parent(w.servers()[0].node).unwrap();
+            w.submit_command(Command::AddServer {
+                parent,
+                name: "added".into(),
+            });
+            w.step(&d, Watts(2000.0));
+            assert_eq!(w.servers().len(), 5, "the add committed");
+            assert_eq!(w.planning().leaves.len(), expected(&w));
+            w.step(&d, Watts(2000.0));
+            if tracked {
+                assert_eq!(w.planning().leaves[4].history.len(), 1, "new row is fed");
+            }
+        }
     }
 
     #[test]

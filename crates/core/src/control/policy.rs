@@ -143,7 +143,8 @@ impl MigrationTargetPolicy for ThermalHeadroomTargets {
 pub trait ConsolidationOrderPolicy {
     /// Reorder candidate victim server indices in place; consolidation
     /// evacuates them in this order. Must be deterministic. `plan` is the
-    /// planning seam (demand history and forecasts per server).
+    /// planning seam (root demand/supply history and forecasts; per-server
+    /// series only under a supply policy that reads them).
     fn order_victims(&self, ctx: &PolicyCtx<'_>, plan: &PlanningContext, victims: &mut Vec<usize>);
     /// Reorder one locality class of receiver bins in place; evacuation
     /// first-fits into them in this order. Must be deterministic.

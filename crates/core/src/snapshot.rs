@@ -149,6 +149,10 @@ mod tests {
     use willow_workload::app::{Application, SIM_APP_CLASSES};
 
     fn setup() -> (Willow, usize) {
+        setup_with(ControllerConfig::default())
+    }
+
+    fn setup_with(config: ControllerConfig) -> (Willow, usize) {
         let tree = Tree::uniform(&[2, 3]);
         let mut id = 0u32;
         let specs: Vec<ServerSpec> = tree
@@ -165,10 +169,7 @@ mod tests {
                 ServerSpec::simulation_default(leaf).with_apps(apps)
             })
             .collect();
-        (
-            Willow::new(tree, specs, ControllerConfig::default()).unwrap(),
-            id as usize,
-        )
+        (Willow::new(tree, specs, config).unwrap(), id as usize)
     }
 
     fn drive(w: &mut Willow, n_apps: usize, ticks: u64) -> Vec<u64> {
@@ -193,28 +194,11 @@ mod tests {
     fn restore_reconstructs_nondefault_policies_from_config() {
         use crate::config::{ConsolidationPolicyChoice, PackerChoice, TargetPolicyChoice};
 
-        let tree = Tree::uniform(&[2, 3]);
-        let mut id = 0u32;
-        let specs: Vec<ServerSpec> = tree
-            .leaves()
-            .map(|leaf| {
-                let apps: Vec<Application> = (0..2)
-                    .map(|_| {
-                        let class = id as usize % SIM_APP_CLASSES.len();
-                        let a = Application::new(AppId(id), class, &SIM_APP_CLASSES[class]);
-                        id += 1;
-                        a
-                    })
-                    .collect();
-                ServerSpec::simulation_default(leaf).with_apps(apps)
-            })
-            .collect();
         let mut cfg = ControllerConfig::default();
         cfg.packer = PackerChoice::BestFitDecreasing;
         cfg.target_policy = TargetPolicyChoice::ThermalHeadroom;
         cfg.consolidation_policy = ConsolidationPolicyChoice::MostHeadroomReceivers;
-        let mut original = Willow::new(tree, specs, cfg).unwrap();
-        let n_apps = id as usize;
+        let (mut original, n_apps) = setup_with(cfg);
         let _ = drive(&mut original, n_apps, 37);
 
         let json = serde_json::to_string(&original.snapshot()).expect("serialize");
@@ -233,28 +217,7 @@ mod tests {
     /// before snapshotting.
     #[test]
     fn restore_preserves_forecaster_state_under_predictive_policy() {
-        use crate::config::SupplyPolicyChoice;
-
-        let tree = Tree::uniform(&[2, 3]);
-        let mut id = 0u32;
-        let specs: Vec<ServerSpec> = tree
-            .leaves()
-            .map(|leaf| {
-                let apps: Vec<Application> = (0..2)
-                    .map(|_| {
-                        let class = id as usize % SIM_APP_CLASSES.len();
-                        let a = Application::new(AppId(id), class, &SIM_APP_CLASSES[class]);
-                        id += 1;
-                        a
-                    })
-                    .collect();
-                ServerSpec::simulation_default(leaf).with_apps(apps)
-            })
-            .collect();
-        let mut cfg = ControllerConfig::default();
-        cfg.supply_policy = SupplyPolicyChoice::Predictive;
-        let mut original = Willow::new(tree, specs, cfg).unwrap();
-        let n_apps = id as usize;
+        let (mut original, n_apps) = setup_with(predictive());
         let _ = drive(&mut original, n_apps, 43); // > HISTORY_DEPTH supply ticks
 
         let json = serde_json::to_string(&original.snapshot()).expect("serialize");
@@ -269,6 +232,13 @@ mod tests {
         let b = drive(&mut restored, n_apps, 60);
         assert_eq!(a, b, "predictive controller must continue identically");
         assert_eq!(original.planning(), restored.planning());
+    }
+
+    fn predictive() -> ControllerConfig {
+        ControllerConfig {
+            supply_policy: crate::config::SupplyPolicyChoice::Predictive,
+            ..ControllerConfig::default()
+        }
     }
 
     /// Pre-planning checkpoints carry no `planning` key: they must still
@@ -289,8 +259,8 @@ mod tests {
         let mut restored = Willow::restore(snap).expect("restore");
         assert_eq!(
             restored.planning().leaves.len(),
-            restored.servers().len(),
-            "restore must re-seed planning to the roster size"
+            0,
+            "the reactive default re-seeds no per-leaf series"
         );
         // The re-seeded forecasts start empty and refill as the run
         // continues; the default reactive policy never reads them, so the
@@ -298,6 +268,56 @@ mod tests {
         let a = drive(&mut w, n_apps, 30);
         let b = drive(&mut restored, n_apps, 30);
         assert_eq!(a, b);
+    }
+
+    /// Checkpoints from before per-leaf series became policy-gated carry
+    /// one series per roster row under every policy. A reactive restore
+    /// accepts them, drops the series, and continues bit-for-bit.
+    #[test]
+    fn reactive_restore_drops_legacy_leaf_series() {
+        let (mut w, n_apps) = setup();
+        let _ = drive(&mut w, n_apps, 20);
+        let mut snap = w.snapshot();
+        let plan = snap.planning.as_mut().expect("planning captured");
+        assert!(plan.leaves.is_empty(), "reactive snapshots carry no leaves");
+        plan.leaves = crate::control::PlanningContext::for_servers(w.servers().len()).leaves;
+        for series in &mut plan.leaves {
+            series.observe(Watts(42.0));
+        }
+        let mut restored = Willow::restore(snap).expect("legacy shape restores");
+        assert!(restored.planning().leaves.is_empty());
+        assert_eq!(restored.planning(), w.planning());
+        let a = drive(&mut w, n_apps, 30);
+        let b = drive(&mut restored, n_apps, 30);
+        assert_eq!(a, b);
+    }
+
+    /// Under Predictive the per-leaf series are load-bearing: a missing
+    /// context re-seeds one per roster row, and a wrong-length one is a
+    /// shape error.
+    #[test]
+    fn predictive_restore_checks_leaf_series_shape() {
+        let (mut w, n_apps) = setup_with(predictive());
+        let _ = drive(&mut w, n_apps, 20);
+        let servers = w.servers().len();
+
+        let mut snap = w.snapshot();
+        snap.planning = None;
+        let restored = Willow::restore(snap).expect("re-seeds");
+        assert_eq!(restored.planning().leaves.len(), servers);
+
+        for wrong in [servers - 1, servers + 1] {
+            let mut snap = w.snapshot();
+            snap.planning.as_mut().expect("planning captured").leaves =
+                crate::control::PlanningContext::for_servers(wrong).leaves;
+            assert!(matches!(
+                Willow::restore(snap),
+                Err(WillowError::SnapshotShape {
+                    field: "planning",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]
