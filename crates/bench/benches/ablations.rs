@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use willow_core::config::{
     AllocationPolicy, ConsolidationPolicyChoice, ControllerConfig, PackerChoice, ReducedTargetRule,
-    SmootherKind, TargetPolicyChoice, ThermalEstimate,
+    SmootherKind, ThermalEstimate,
 };
 use willow_sim::{RunMetrics, SimConfig, Simulation};
 use willow_thermal::units::Watts;
@@ -61,23 +61,6 @@ fn ablation_packers(c: &mut Criterion) {
         report(&label, &run_with(|cc| cc.packer = packer));
         g.bench_function(BenchmarkId::from_parameter(&label), |b| {
             b.iter(|| black_box(run_with(|cc| cc.packer = packer)))
-        });
-    }
-    g.finish();
-}
-
-fn ablation_target_policy(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_target_policy");
-    g.sample_size(10);
-    for policy in [
-        TargetPolicyChoice::AscendingId,
-        TargetPolicyChoice::BestFit,
-        TargetPolicyChoice::ThermalHeadroom,
-    ] {
-        let label = format!("{policy:?}");
-        report(&label, &run_with(|cc| cc.target_policy = policy));
-        g.bench_function(BenchmarkId::from_parameter(&label), |b| {
-            b.iter(|| black_box(run_with(|cc| cc.target_policy = policy)))
         });
     }
     g.finish();
@@ -206,7 +189,6 @@ fn ablation_smoother(c: &mut Criterion) {
 criterion_group!(
     benches,
     ablation_packers,
-    ablation_target_policy,
     ablation_consolidation_policy,
     ablation_margin,
     ablation_unidirectional,

@@ -1,9 +1,9 @@
-//! `repro ablate` — race the packer × target-policy × consolidation-policy
-//! grid head-to-head.
+//! `repro ablate` — race the packer × consolidation-policy grid
+//! head-to-head.
 //!
 //! The paper picks FFDLR and its hot-zones-first orderings by argument, not
 //! by measurement; this subcommand measures. Every combination of
-//! `ControllerConfig::{packer, target_policy, consolidation_policy}` runs
+//! `ControllerConfig::{packer, consolidation_policy}` runs
 //! the paper's hot/cold scenario (§V-B3, at the Fig. 7 consolidation
 //! operating point U = 40 %) and a brownout scenario (the same fleet at
 //! U = 60 % under the Fig. 15 supply-plunge profile), scored on
@@ -18,9 +18,7 @@
 //! bit-for-bit (the policy plumbing must be behavior-neutral for defaults).
 
 use serde::Value;
-use willow_core::config::{
-    ConsolidationPolicyChoice, PackerChoice, SupplyPolicyChoice, TargetPolicyChoice,
-};
+use willow_core::config::{ConsolidationPolicyChoice, PackerChoice, SupplyPolicyChoice};
 use willow_power::SupplyTrace;
 use willow_sim::{RunMetrics, SimConfig, Simulation};
 use willow_thermal::units::Watts;
@@ -60,7 +58,6 @@ const SCENARIOS: [Scenario; 2] = [
 /// Mean scores of one combo on one scenario, averaged over seeds.
 struct Row {
     packer: PackerChoice,
-    target: TargetPolicyChoice,
     consolidation: ConsolidationPolicyChoice,
     dropped: f64,
     demand_migs: f64,
@@ -89,12 +86,10 @@ fn run_combo(
     ticks: usize,
     n_seeds: usize,
     packer: PackerChoice,
-    target: TargetPolicyChoice,
     consolidation: ConsolidationPolicyChoice,
 ) -> Row {
     let mut row = Row {
         packer,
-        target,
         consolidation,
         dropped: 0.0,
         demand_migs: 0.0,
@@ -109,7 +104,6 @@ fn run_combo(
     for k in 0..n_seeds {
         let mut cfg = scenario_config(sc, seed + k as u64, ticks);
         cfg.controller.packer = packer;
-        cfg.controller.target_policy = target;
         cfg.controller.consolidation_policy = consolidation;
         let m = Simulation::new(cfg).expect("valid ablate config").run();
         let n = n_seeds as f64;
@@ -305,21 +299,15 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
             PackerChoice::NextFit,
         ]
     };
-    let targets = [
-        TargetPolicyChoice::AscendingId,
-        TargetPolicyChoice::BestFit,
-        TargetPolicyChoice::ThermalHeadroom,
-    ];
     let consolidations = [
         ConsolidationPolicyChoice::HotZonesFirst,
         ConsolidationPolicyChoice::MostHeadroomReceivers,
     ];
 
     println!(
-        "policy race: {} packers x {} target x {} consolidation x {} scenarios, \
+        "policy race: {} packers x {} consolidation x {} scenarios, \
          {} ticks, {} seed(s){}",
         packers.len(),
-        targets.len(),
         consolidations.len(),
         SCENARIOS.len(),
         ticks,
@@ -335,7 +323,6 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
         let reference = default_reference(sc, seed, ticks);
         let mut cfg = scenario_config(sc, seed, ticks);
         cfg.controller.packer = PackerChoice::Ffdlr;
-        cfg.controller.target_policy = TargetPolicyChoice::AscendingId;
         cfg.controller.consolidation_policy = ConsolidationPolicyChoice::HotZonesFirst;
         let explicit = Simulation::new(cfg).expect("valid").run();
         if explicit != reference {
@@ -348,47 +335,28 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
 
         let mut rows = Vec::new();
         for &packer in packers {
-            for &target in targets.iter() {
-                for &consolidation in consolidations.iter() {
-                    rows.push(run_combo(
-                        sc,
-                        seed,
-                        ticks,
-                        n_seeds,
-                        packer,
-                        target,
-                        consolidation,
-                    ));
-                }
+            for &consolidation in consolidations.iter() {
+                rows.push(run_combo(sc, seed, ticks, n_seeds, packer, consolidation));
             }
         }
         let baseline_power = rows
             .iter()
             .find(|r| {
                 r.packer == PackerChoice::Ffdlr
-                    && r.target == TargetPolicyChoice::AscendingId
                     && r.consolidation == ConsolidationPolicyChoice::HotZonesFirst
             })
             .map_or(0.0, |r| r.cluster_power);
 
         println!("\n== scenario: {} ==", sc.name);
         println!(
-            "  {:<18} {:<16} {:<22} {:>10} {:>8} {:>8} {:>6} {:>10} {:>10}",
-            "packer",
-            "targets",
-            "consolidation",
-            "drop(W)",
-            "d-migs",
-            "c-migs",
-            "pp",
-            "saved(W)",
-            "slack(°C)"
+            "  {:<18} {:<22} {:>10} {:>8} {:>8} {:>6} {:>10} {:>10}",
+            "packer", "consolidation", "drop(W)", "d-migs", "c-migs", "pp", "saved(W)", "slack(°C)"
         );
         for r in &rows {
             if r.violations > 0 {
                 println!(
-                    "FAIL [{}]: {:?}/{:?}/{:?} tripped the invariant auditor {} time(s)",
-                    sc.name, r.packer, r.target, r.consolidation, r.violations
+                    "FAIL [{}]: {:?}/{:?} tripped the invariant auditor {} time(s)",
+                    sc.name, r.packer, r.consolidation, r.violations
                 );
                 failures += 1;
             }
@@ -397,9 +365,8 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
                 .thermal_slack
                 .map_or_else(|| "n/a".to_string(), |s| format!("{s:.1}"));
             println!(
-                "  {:<18} {:<16} {:<22} {:>10.1} {:>8.1} {:>8.1} {:>6.1} {:>10.1} {:>10}",
+                "  {:<18} {:<22} {:>10.1} {:>8.1} {:>8.1} {:>6.1} {:>10.1} {:>10}",
                 format!("{:?}", r.packer),
-                format!("{:?}", r.target),
                 format!("{:?}", r.consolidation),
                 r.dropped,
                 r.demand_migs,
@@ -412,7 +379,6 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
                 ("scenario", Value::Str(sc.name.to_owned())),
                 ("utilization", Value::F64(sc.utilization)),
                 ("packer", Value::Str(format!("{:?}", r.packer))),
-                ("target_policy", Value::Str(format!("{:?}", r.target))),
                 (
                     "consolidation_policy",
                     Value::Str(format!("{:?}", r.consolidation)),

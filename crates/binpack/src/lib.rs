@@ -43,4 +43,4 @@ pub use baselines::{BestFitDecreasing, FirstFit, FirstFitDecreasing, NextFit};
 pub use exact::optimal_bins_used;
 pub use ffdlr::Ffdlr;
 pub use packing::{Packer, Packing, FIT_EPSILON};
-pub use select::{packer_for, PackerStrategy};
+pub use select::PackerStrategy;

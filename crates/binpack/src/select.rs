@@ -1,13 +1,14 @@
-//! Strategy selection: one constructor mapping a serializable strategy
-//! name to a boxed [`Packer`].
+//! Strategy selection: a serializable strategy name that is itself a
+//! [`Packer`].
 //!
 //! Every consumer that lets a config choose the packing heuristic —
 //! Willow's demand-adaptation pipeline, the frozen reference controller,
-//! the centralized greedy baseline, the ablation benches — goes through
-//! [`packer_for`], so adding a heuristic is one new enum variant and one
-//! new match arm here instead of a parallel match in every controller.
+//! the centralized greedy baseline, the ablation benches — packs through
+//! the [`PackerStrategy`] value it holds, so adding a heuristic is one new
+//! enum variant and one new match arm here instead of a parallel match in
+//! every controller.
 
-use crate::{BestFitDecreasing, Ffdlr, FirstFitDecreasing, NextFit, Packer};
+use crate::{BestFitDecreasing, Ffdlr, FirstFitDecreasing, NextFit, Packer, Packing};
 use serde::{Deserialize, Serialize};
 
 /// Which bin-packing algorithm a migration planner uses (paper §IV-F; the
@@ -24,15 +25,23 @@ pub enum PackerStrategy {
     NextFit,
 }
 
-/// The packing heuristic for `strategy`, boxed once so hot paths never
-/// re-box it.
-#[must_use]
-pub fn packer_for(strategy: PackerStrategy) -> Box<dyn Packer> {
-    match strategy {
-        PackerStrategy::Ffdlr => Box::new(Ffdlr),
-        PackerStrategy::FirstFitDecreasing => Box::new(FirstFitDecreasing),
-        PackerStrategy::BestFitDecreasing => Box::new(BestFitDecreasing),
-        PackerStrategy::NextFit => Box::new(NextFit),
+impl Packer for PackerStrategy {
+    fn pack(&self, items: &[f64], bins: &[f64]) -> Packing {
+        match self {
+            PackerStrategy::Ffdlr => Ffdlr.pack(items, bins),
+            PackerStrategy::FirstFitDecreasing => FirstFitDecreasing.pack(items, bins),
+            PackerStrategy::BestFitDecreasing => BestFitDecreasing.pack(items, bins),
+            PackerStrategy::NextFit => NextFit.pack(items, bins),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            PackerStrategy::Ffdlr => Ffdlr.name(),
+            PackerStrategy::FirstFitDecreasing => FirstFitDecreasing.name(),
+            PackerStrategy::BestFitDecreasing => BestFitDecreasing.name(),
+            PackerStrategy::NextFit => NextFit.name(),
+        }
     }
 }
 
@@ -41,14 +50,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_strategy_constructs_its_packer() {
-        for (strategy, name) in [
-            (PackerStrategy::Ffdlr, "ffdlr"),
-            (PackerStrategy::FirstFitDecreasing, "ffd"),
-            (PackerStrategy::BestFitDecreasing, "bfd"),
-            (PackerStrategy::NextFit, "next-fit"),
+    fn every_strategy_packs_as_its_packer() {
+        let items = [0.6, 0.5, 0.4, 0.3, 0.2];
+        let bins = [0.7, 1.0, 0.5];
+        for (strategy, packer, name) in [
+            (PackerStrategy::Ffdlr, &Ffdlr as &dyn Packer, "ffdlr"),
+            (
+                PackerStrategy::FirstFitDecreasing,
+                &FirstFitDecreasing,
+                "ffd",
+            ),
+            (PackerStrategy::BestFitDecreasing, &BestFitDecreasing, "bfd"),
+            (PackerStrategy::NextFit, &NextFit, "next-fit"),
         ] {
-            assert_eq!(packer_for(strategy).name(), name);
+            assert_eq!(strategy.name(), name);
+            assert_eq!(strategy.pack(&items, &bins), packer.pack(&items, &bins));
         }
     }
 }

@@ -15,7 +15,7 @@ use crate::config::ControllerConfig;
 use crate::migration::{MigrationReason, MigrationRecord, TickReport};
 use crate::server::{ServerSpec, ServerState};
 use crate::state::PowerState;
-use willow_binpack::packer_for;
+use willow_binpack::Packer;
 use willow_power::allocation::allocate_proportional;
 use willow_thermal::units::Watts;
 use willow_topology::{NodeId, Tree};
@@ -125,7 +125,7 @@ impl GreedyGlobal {
                     .max(0.0)
             })
             .collect();
-        let packing = packer_for(self.config.packer).pack(&sizes, &caps);
+        let packing = self.config.packer.pack(&sizes, &caps);
 
         // Execute the diff: any app whose assigned bin differs from its
         // current host migrates.

@@ -52,7 +52,7 @@ pub enum Command {
         /// Server index to drain.
         server: usize,
     },
-    /// Hot-swap the packing heuristic via the policy seams.
+    /// Hot-swap the packing heuristic: sets `ControllerConfig::packer`.
     SwapPacker {
         /// Replacement packing strategy.
         packer: PackerChoice,

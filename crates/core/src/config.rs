@@ -7,51 +7,28 @@ use willow_thermal::units::{Seconds, Watts};
 /// Which bin-packing algorithm the migration planner uses (§IV-F; the paper
 /// chooses FFDLR, the alternatives exist for the packer ablation).
 ///
-/// An alias for [`willow_binpack::PackerStrategy`]: the strategy enum and
-/// its [`willow_binpack::packer_for`] constructor live next to the packers
-/// themselves, so every controller (pipeline, frozen reference, greedy
-/// baseline) selects its heuristic through the same single match. The
-/// serialized form is the bare variant name either way, so persisted
-/// experiment configs are unaffected by the aliasing.
+/// An alias for [`willow_binpack::PackerStrategy`], which is itself a
+/// [`willow_binpack::Packer`]: every controller (pipeline, frozen
+/// reference, greedy baseline) packs through the config value it holds,
+/// one match next to the packers themselves. The serialized form is the
+/// bare variant name either way, so persisted experiment configs are
+/// unaffected by the aliasing.
 pub use willow_binpack::PackerStrategy as PackerChoice;
 
-/// Which [`MigrationTargetPolicy`](crate::control::MigrationTargetPolicy)
-/// orders the eligible target bins of each demand-side packing instance.
+/// In which order consolidation fills receiver bins (evacuation victims
+/// are ordered the same way under every choice: hot zones first, then
+/// emptiest first).
 ///
-/// Like [`PackerChoice`], this selects a deterministic, stateless policy
-/// that [`ControlPolicies::for_config`](crate::control::ControlPolicies)
-/// constructs from config alone — checkpoint restore rebuilds it without
-/// serializing any policy state. The default reproduces the paper's
-/// behavior bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum TargetPolicyChoice {
-    /// Ascending arena id — "first eligible server in tree order"
-    /// ([`AscendingIdTargets`](crate::control::AscendingIdTargets),
-    /// the paper's evaluation order; default).
-    #[default]
-    AscendingId,
-    /// Tightest surplus first
-    /// ([`BestFitTargets`](crate::control::BestFitTargets)).
-    BestFit,
-    /// Coolest server (largest thermal headroom) first
-    /// ([`ThermalHeadroomTargets`](crate::control::ThermalHeadroomTargets)).
-    ThermalHeadroom,
-}
-
-/// Which [`ConsolidationOrderPolicy`](crate::control::ConsolidationOrderPolicy)
-/// orders consolidation's evacuation victims and receiver bins.
-///
-/// Selected the same way as [`TargetPolicyChoice`]; the default reproduces
-/// the paper's behavior bit-for-bit.
+/// Like every policy field, the stage reads this straight from the
+/// checkpointed config, so a restored controller needs nothing rebuilt.
+/// The default reproduces the paper's behavior bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ConsolidationPolicyChoice {
-    /// Thermally constrained victims first, coolest receivers first
-    /// ([`HotZonesFirst`](crate::control::HotZonesFirst), the paper's
-    /// ordering; default).
+    /// Coolest zone (largest hard cap) first, then most utilized — the
+    /// paper's ordering (default).
     #[default]
     HotZonesFirst,
-    /// Receivers with the largest power headroom first
-    /// ([`MostHeadroomReceivers`](crate::control::MostHeadroomReceivers)).
+    /// Largest power headroom (budget minus demand) first.
     MostHeadroomReceivers,
 }
 
@@ -59,10 +36,10 @@ pub enum ConsolidationPolicyChoice {
 /// planning seam ([`PlanningContext`](crate::control::PlanningContext)) or
 /// only on current measurements.
 ///
-/// Unlike the other policy knobs this does not swap a trait object: the
-/// predictive behaviors live inside the stages, gated on this choice, and
-/// draw on forecaster state that *is* serialized (in `WillowSnapshot`), so
-/// a restored controller continues predicting bit-for-bit.
+/// The predictive behaviors live inside the stages, gated on this choice,
+/// and draw on forecaster state that *is* serialized (in
+/// `WillowSnapshot`), so a restored controller continues predicting
+/// bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SupplyPolicyChoice {
     /// The paper's purely reactive control (default): every stage decides
@@ -216,8 +193,13 @@ impl RobustnessConfig {
     }
 }
 
-/// All Willow tunables.
+/// All Willow tunables, and the single place every policy is chosen.
+///
+/// Unknown keys are a deserialization error, so a persisted config that
+/// still names a removed option fails loudly instead of loading as
+/// something it never asked for.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ControllerConfig {
     /// Exponential-smoothing parameter `α` of Eq. 4, `0 < α < 1`.
     pub alpha: f64,
@@ -272,12 +254,7 @@ pub struct ControllerConfig {
     /// field existed, which deserialize as `0` (auto).
     #[serde(default)]
     pub threads: usize,
-    /// Target-bin ordering for demand-side packing instances. Absent in
-    /// persisted configs from before this field existed, which deserialize
-    /// as the paper's default ordering.
-    #[serde(default)]
-    pub target_policy: TargetPolicyChoice,
-    /// Victim/receiver ordering for consolidation. Absent in persisted
+    /// Receiver ordering for consolidation. Absent in persisted
     /// configs from before this field existed, which deserialize as the
     /// paper's default ordering.
     #[serde(default)]
@@ -309,7 +286,6 @@ impl Default for ControllerConfig {
             query_traffic_per_watt: 1.0,
             robustness: RobustnessConfig::default(),
             threads: 1,
-            target_policy: TargetPolicyChoice::AscendingId,
             consolidation_policy: ConsolidationPolicyChoice::HotZonesFirst,
             supply_policy: SupplyPolicyChoice::Reactive,
         }
@@ -342,6 +318,20 @@ impl ControllerConfig {
         }
         if !(0.0..=1.0).contains(&self.consolidation_threshold) {
             return Err(ConfigError::Threshold(self.consolidation_threshold));
+        }
+        // `MigrationCostModel::new` asserts these, but a deserialized
+        // config never passes through it.
+        let cost = &self.cost_model;
+        for (field, value) in [
+            ("query_traffic_per_watt", self.query_traffic_per_watt),
+            ("cost_model.node_overhead", cost.node_overhead),
+            ("cost_model.traffic_per_watt", cost.traffic_per_watt),
+            ("cost_model.switch_overhead", cost.switch_overhead),
+            ("cost_model.nonlocal_reconfig", cost.nonlocal_reconfig.0),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(ConfigError::Coefficient { field, value });
+            }
         }
         self.robustness.validate()
     }
@@ -383,6 +373,13 @@ pub enum ConfigError {
     SensorSlack(f64),
     /// Retry backoff base zero or exponent cap too large.
     Retry,
+    /// A traffic or migration-cost coefficient negative or non-finite.
+    Coefficient {
+        /// The offending field, dotted from `ControllerConfig`.
+        field: &'static str,
+        /// Supplied value.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -405,6 +402,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::Retry => {
                 write!(f, "retry backoff needs base ≥ 1 and exponent cap ≤ 32")
+            }
+            ConfigError::Coefficient { field, value } => {
+                write!(f, "{field} must be finite and ≥ 0, got {value}")
             }
         }
     }
@@ -482,6 +482,80 @@ mod tests {
     }
 
     #[test]
+    fn removed_target_policy_key_is_a_config_error() {
+        // The migration-target ordering never changed an outcome under the
+        // capacity-sorting packers and was removed with its config key. A
+        // config, or a checkpoint whose config, still names it must fail,
+        // and the error must name the key.
+        let removed = "\"target_policy\":\"BestFit\",";
+        let json = serde_json::to_string(&ControllerConfig::default()).unwrap();
+        let json = json.replacen('{', &format!("{{{removed}"), 1);
+        let err = serde_json::from_str::<ControllerConfig>(&json)
+            .expect_err("a removed key must not parse")
+            .to_string();
+        assert!(
+            err.contains("target_policy"),
+            "error must name the key: {err}"
+        );
+
+        let tree = willow_topology::Tree::uniform(&[2]);
+        let specs = tree
+            .leaves()
+            .map(crate::server::ServerSpec::simulation_default)
+            .collect();
+        let w = crate::controller::Willow::new(tree, specs, ControllerConfig::default()).unwrap();
+        let json = serde_json::to_string(&w.snapshot()).unwrap();
+        let field = "\"config\":{";
+        assert!(json.contains(field), "{json}");
+        let json = json.replacen(field, &format!("{field}{removed}"), 1);
+        let err = serde_json::from_str::<crate::snapshot::WillowSnapshot>(&json)
+            .expect_err("a checkpoint naming a removed key must not parse")
+            .to_string();
+        assert!(
+            err.contains("target_policy"),
+            "error must name the key: {err}"
+        );
+    }
+
+    #[test]
+    fn rejects_negative_or_non_finite_coefficients() {
+        type Setter = fn(&mut ControllerConfig, f64);
+        let fields: [(&str, Setter); 5] = [
+            ("query_traffic_per_watt", |c, v| {
+                c.query_traffic_per_watt = v
+            }),
+            ("cost_model.node_overhead", |c, v| {
+                c.cost_model.node_overhead = v
+            }),
+            ("cost_model.traffic_per_watt", |c, v| {
+                c.cost_model.traffic_per_watt = v;
+            }),
+            ("cost_model.switch_overhead", |c, v| {
+                c.cost_model.switch_overhead = v;
+            }),
+            ("cost_model.nonlocal_reconfig", |c, v| {
+                c.cost_model.nonlocal_reconfig = Watts(v);
+            }),
+        ];
+        for (field, set) in fields {
+            for bad in [-0.5, f64::NAN, f64::INFINITY] {
+                let mut c = ControllerConfig::default();
+                set(&mut c, bad);
+                match c.validate() {
+                    Err(ConfigError::Coefficient { field: f, value }) => {
+                        assert_eq!(f, field);
+                        assert!(value.total_cmp(&bad).is_eq(), "{field}: {value}");
+                    }
+                    other => panic!("{field} = {bad}: {other:?}"),
+                }
+            }
+            let mut c = ControllerConfig::default();
+            set(&mut c, 0.0);
+            c.validate().expect("zero coefficients are valid");
+        }
+    }
+
+    #[test]
     fn serde_round_trip_all_variants() {
         // Every enum knob must survive serialization (experiment configs
         // are persisted as JSON by the CLI).
@@ -502,7 +576,6 @@ mod tests {
                 c.smoother = SmootherKind::Holt { beta: 0.25 };
                 c.thermal_estimate = ThermalEstimate::NaiveThrottle;
                 c.allocation = AllocationPolicy::ProportionalToCapacity;
-                c.target_policy = TargetPolicyChoice::ThermalHeadroom;
                 c.consolidation_policy = ConsolidationPolicyChoice::MostHeadroomReceivers;
                 let json = serde_json::to_string(&c).unwrap();
                 let back: ControllerConfig = serde_json::from_str(&json).unwrap();
@@ -510,24 +583,17 @@ mod tests {
             }
         }
         // And every policy-choice variant individually.
-        for target in [
-            TargetPolicyChoice::AscendingId,
-            TargetPolicyChoice::BestFit,
-            TargetPolicyChoice::ThermalHeadroom,
+        for consolidation in [
+            ConsolidationPolicyChoice::HotZonesFirst,
+            ConsolidationPolicyChoice::MostHeadroomReceivers,
         ] {
-            for consolidation in [
-                ConsolidationPolicyChoice::HotZonesFirst,
-                ConsolidationPolicyChoice::MostHeadroomReceivers,
-            ] {
-                for supply in [SupplyPolicyChoice::Reactive, SupplyPolicyChoice::Predictive] {
-                    let mut c = ControllerConfig::default();
-                    c.target_policy = target;
-                    c.consolidation_policy = consolidation;
-                    c.supply_policy = supply;
-                    let json = serde_json::to_string(&c).unwrap();
-                    let back: ControllerConfig = serde_json::from_str(&json).unwrap();
-                    assert_eq!(c, back);
-                }
+            for supply in [SupplyPolicyChoice::Reactive, SupplyPolicyChoice::Predictive] {
+                let mut c = ControllerConfig::default();
+                c.consolidation_policy = consolidation;
+                c.supply_policy = supply;
+                let json = serde_json::to_string(&c).unwrap();
+                let back: ControllerConfig = serde_json::from_str(&json).unwrap();
+                assert_eq!(c, back);
             }
         }
     }
@@ -535,17 +601,15 @@ mod tests {
     #[test]
     fn policy_fields_default_when_absent() {
         // Persisted configs from before the policy race existed have no
-        // `target_policy`/`consolidation_policy` keys; they must still load
-        // as the paper's default orderings.
+        // `consolidation_policy`/`supply_policy` keys; they must still load
+        // as the paper's defaults.
         let c = ControllerConfig::default();
         let json = serde_json::to_string(&c).unwrap();
         let stripped = json
-            .replacen(",\"target_policy\":\"AscendingId\"", "", 1)
             .replacen(",\"consolidation_policy\":\"HotZonesFirst\"", "", 1)
             .replacen(",\"supply_policy\":\"Reactive\"", "", 1);
         assert_ne!(stripped, json, "policy keys found in serialized config");
         let back: ControllerConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.target_policy, TargetPolicyChoice::AscendingId);
         assert_eq!(
             back.consolidation_policy,
             ConsolidationPolicyChoice::HotZonesFirst

@@ -1,8 +1,7 @@
 //! Pipeline stage 3 — demand adaptation (§IV-E): per-level bottom-up bin
 //! packing of deficit parcels into surpluses, sibling subtrees first,
-//! leftovers passed up for non-local placement. Two of the pipeline's
-//! pluggable decision points live here: the packing heuristic and the
-//! candidate-target ordering (see [`super::policy`]).
+//! leftovers passed up for non-local placement. The packing heuristic is
+//! the one `ControllerConfig::packer` names.
 //!
 //! Sharded sub-steps (bit-for-bit identical to serial at any thread
 //! count):
@@ -26,10 +25,10 @@
 //! and journal transaction ids, attempt ordinals and record order are all
 //! part of the deterministic contract.
 
-use super::planning::PlanningContext;
 use super::shard::{shard_range, RawSlice};
 use super::Willow;
 use crate::migration::{MigrationReason, MigrationRecord};
+use willow_binpack::Packer;
 use willow_thermal::units::Watts;
 use willow_topology::{NodeId, Tree};
 use willow_workload::app::AppId;
@@ -148,7 +147,6 @@ impl Willow {
         tick: u64,
         stage: &mut DemandStage,
         records: &mut Vec<MigrationRecord>,
-        plan: &PlanningContext,
     ) {
         // Collect deficit items at the leaves.
         self.collect_deficit_items(stage);
@@ -220,7 +218,6 @@ impl Willow {
                     &mut stage.shard_bins,
                     tick,
                     records,
-                    plan,
                 );
                 i = j;
             }
@@ -382,12 +379,11 @@ impl Willow {
         shard_bins: &mut Vec<Vec<NodeId>>,
         tick: u64,
         records: &mut Vec<MigrationRecord>,
-        plan: &PlanningContext,
     ) {
-        // Candidate bins come off the cached Euler-tour range in DFS order;
-        // the target policy then fixes their ordering (the default restores
-        // the ascending-id order the packing has always seen —
-        // `subtree_leaves` returns sorted ids).
+        // Candidate bins come off the cached Euler-tour range in DFS order
+        // and are then sorted into the ascending-id order the packing has
+        // always seen. The sort is not a no-op: once `AddServer` appends a
+        // slot, DFS order and id order differ.
         bins.clear();
         {
             let leaf_range = self.tree.leaf_range(pmu);
@@ -417,10 +413,7 @@ impl Willow {
                 }
             }
         }
-        {
-            let ctx = self.policy_ctx();
-            self.policies.targets.order_targets(&ctx, plan, bins);
-        }
+        bins.sort_unstable();
         if bins.is_empty() {
             leftovers.extend_from_slice(items);
             return;
@@ -432,7 +425,7 @@ impl Willow {
         self.stats.packing_instances += 1;
         self.stats.items_offered += sizes.len() as u64;
         self.stats.bins_offered += bin_caps.len() as u64;
-        let packing = self.policies.packer.pack(sizes, bin_caps);
+        let packing = self.config.packer.pack(sizes, bin_caps);
 
         for (i, item) in items.iter().enumerate() {
             match packing.assignment[i] {

@@ -32,11 +32,13 @@
 //! fixed point between stages 1 and 2, so reconfigurations land at a
 //! deterministic, replayable position in every tick.
 //!
-//! Three decision points inside the stages are pluggable via the traits in
-//! [`policy`] (see [`Willow::with_policies`]): which packing heuristic
-//! matches deficits with surpluses, how candidate migration targets are
-//! ordered, and in which order consolidation picks its victims and
-//! receivers. The defaults reproduce the paper's behavior exactly.
+//! Every policy choice inside the stages — which packing heuristic
+//! matches deficits with surpluses, in which order consolidation fills
+//! receivers, reactive or predictive supply control — is a plain enum
+//! field of [`ControllerConfig`] that the stage reads directly, so the
+//! checkpointed config is the only copy and a restored controller has
+//! nothing to rebuild. The defaults reproduce the paper's behavior
+//! exactly.
 
 use crate::command::{Command, PendingCommand};
 use crate::config::ControllerConfig;
@@ -60,7 +62,6 @@ pub mod measure;
 pub mod migrate;
 pub mod physics;
 pub mod planning;
-pub mod policy;
 pub mod shard;
 pub mod supply;
 pub mod telemetry;
@@ -75,10 +76,6 @@ mod testutil;
 pub use migrate::Backoff;
 pub use planning::{
     ForecastModel, Forecaster, HistoryRing, PlanSeries, PlanningContext, HISTORY_DEPTH,
-};
-pub use policy::{
-    AscendingIdTargets, BestFitTargets, ConsolidationOrderPolicy, ControlPolicies, HotZonesFirst,
-    MigrationTargetPolicy, MostHeadroomReceivers, PolicyCtx, ThermalHeadroomTargets,
 };
 pub use supply::Watchdog;
 pub use telemetry::SPAN_SAMPLE_PERIOD;
@@ -246,13 +243,10 @@ pub struct Willow {
     /// count shards per-server and per-leaf loops bit-for-bit identically
     /// (see [`shard`]).
     pub(super) pool: ShardPool,
-    /// The pluggable policy decision points (packing heuristic, target
-    /// ordering, consolidation ordering), boxed once at construction.
-    pub(super) policies: ControlPolicies,
     /// The horizon-aware planning seam (see [`planning`]): history rings
     /// and forecasters for root supply, root demand, and — only under a
     /// policy that reads them — every roster server, updated once per
-    /// tick and handed read-only to stages 2–4 and the policy traits.
+    /// tick and handed read-only to stages 2 and 4.
     /// Checkpointed, so restored controllers keep forecasting
     /// bit-for-bit.
     pub(super) planning: PlanningContext,
@@ -270,27 +264,12 @@ pub struct Willow {
 }
 
 impl Willow {
-    /// Build a controller for `tree` with one [`ServerSpec`] per leaf and
-    /// the default policies (the paper's behavior).
+    /// Build a controller for `tree` with one [`ServerSpec`] per leaf,
+    /// running the policies `config` selects.
     pub fn new(
         tree: Tree,
         specs: Vec<ServerSpec>,
         config: ControllerConfig,
-    ) -> Result<Self, WillowError> {
-        let policies = ControlPolicies::for_config(&config);
-        Willow::with_policies(tree, specs, config, policies)
-    }
-
-    /// [`Willow::new`] with explicit [`ControlPolicies`] — the extension
-    /// point for plugging alternative packing heuristics, target orderings
-    /// or consolidation orderings into the pipeline. The stage structure
-    /// (and every guarantee that comes from it: margins, unidirectional
-    /// triggers, transactional migrations) is unaffected by the policies.
-    pub fn with_policies(
-        tree: Tree,
-        specs: Vec<ServerSpec>,
-        config: ControllerConfig,
-        policies: ControlPolicies,
     ) -> Result<Self, WillowError> {
         config.validate().map_err(WillowError::Config)?;
         let leaves: Vec<NodeId> = tree.leaves().collect();
@@ -366,7 +345,6 @@ impl Willow {
             consolidate_stage,
             physics_stage,
             pool,
-            policies,
             planning,
             tel: ControllerTelemetry::default(),
             pending: Vec::new(),
@@ -617,7 +595,6 @@ impl Willow {
         let consolidate_stage = ConsolidateStage::for_tree(&tree, servers.len());
         let physics_stage = PhysicsStage::for_tree(&tree, servers.len());
         let pool = ShardPool::new(shard::resolve_threads(config.threads));
-        let policies = ControlPolicies::for_config(&config);
         Ok(Willow {
             tree,
             config,
@@ -647,7 +624,6 @@ impl Willow {
             consolidate_stage,
             physics_stage,
             pool,
-            policies,
             planning,
             tel: ControllerTelemetry::default(),
             pending,
@@ -773,17 +749,6 @@ impl Willow {
         self.servers.iter().position(|s| s.find_app(app).is_some())
     }
 
-    /// A read-only view of the controller state for policy callbacks.
-    pub(super) fn policy_ctx(&self) -> PolicyCtx<'_> {
-        PolicyCtx {
-            tree: &self.tree,
-            power: &self.power,
-            servers: &self.servers,
-            leaf_server: &self.leaf_server,
-            config: &self.config,
-        }
-    }
-
     /// Drive one demand period. `app_demand` is indexed by `AppId.0` and
     /// gives each application's raw power demand this period; `supply` is
     /// the data center's total power budget (used on supply ticks).
@@ -894,7 +859,7 @@ impl Willow {
         if !self.paused {
             let t0 = self.tel.span_start(SLOT_PLAN_MIGRATIONS, tick);
             let mut stage = std::mem::take(&mut self.demand_stage);
-            self.demand_adaptation(tick, &mut stage, &mut report.migrations, &planning);
+            self.demand_adaptation(tick, &mut stage, &mut report.migrations);
             self.demand_stage = stage;
             self.tel.span_plan_migrations.record_since(t0);
         }

@@ -1,5 +1,5 @@
 //! The horizon-aware planning seam: per-node demand/supply history and
-//! forecasts, threaded through every policy decision point.
+//! forecasts, lent read-only to the stages that act on forecasts.
 //!
 //! The paper's controller is purely reactive — each stage decides from the
 //! current tick's measurements. The ROADMAP's predictive (MPC-style)
@@ -20,8 +20,9 @@
 //!   reads per-server forecasts (`Predictive`) — one series per roster
 //!   server. The root series are fed once per tick after the command
 //!   plane (supply only on applied supply ticks); the per-server series,
-//!   when present, inside the sharded measure loop. Stages 2–4 and the
-//!   policy traits receive the context as `&PlanningContext`.
+//!   when present, inside the sharded measure loop. The supply and
+//!   consolidation stages (2 and 4) receive the context as
+//!   `&PlanningContext`.
 //!
 //! **Per-server series follow the policy.** Only the predictive
 //! consolidation-victim veto reads a per-server forecast, and the supply
@@ -40,7 +41,7 @@
 //! **Determinism and cost.** The context is plain serialized state
 //! (captured in `WillowSnapshot`, restored verbatim), updates are
 //! per-server-disjoint (safe to fold into the sharded measure loop), and
-//! the default policies ignore the context entirely — attaching it changes
+//! the reactive default ignores the context entirely — attaching it changes
 //! no reactive trajectory bit and allocates nothing in steady state.
 
 use crate::config::SupplyPolicyChoice;
@@ -274,7 +275,7 @@ impl PlanSeries {
 }
 
 /// The controller's complete planning state, updated once per tick and
-/// handed read-only to stages 2–4 and the policy traits.
+/// handed read-only to stages 2 and 4.
 ///
 /// Serialized whole inside `WillowSnapshot` (restore continues forecasts
 /// bit-for-bit); `recover` keeps the checkpoint's context — forecaster

@@ -421,52 +421,19 @@ fn locate_app_finds_hosts() {
     assert_eq!(w.locate_app(AppId(99)), None);
 }
 
-/// `ControlPolicies::for_config` with the default policy choices must
-/// reproduce the previously hard-coded (paper) policies bit-for-bit: a
-/// controller built by `Willow::new` from a default config and one built by
-/// `Willow::with_policies` with the explicit paper policies must trace
-/// identically under churn.
-#[test]
-fn default_policy_config_matches_explicit_paper_policies() {
-    use willow_binpack::packer_for;
-
-    let (tree, specs, n_apps) = small_setup(2);
-    let cfg = ControllerConfig::default();
-    let mut from_config = Willow::new(tree.clone(), specs.clone(), cfg.clone()).unwrap();
-    let mut explicit = Willow::with_policies(
-        tree,
-        specs,
-        cfg.clone(),
-        ControlPolicies {
-            packer: packer_for(cfg.packer),
-            targets: Box::new(AscendingIdTargets),
-            consolidation: Box::new(HotZonesFirst),
-        },
-    )
-    .unwrap();
-    for t in 0..80u64 {
-        let d: Vec<Watts> = (0..n_apps)
-            .map(|i| Watts(30.0 + ((i as u64 + t) % 7) as f64 * 40.0))
-            .collect();
-        let supply = Watts(if t % 11 < 5 { 900.0 } else { 2600.0 });
-        let a = from_config.step(&d, supply);
-        let b = explicit.step(&d, supply);
-        assert_eq!(a, b, "trajectories diverged at tick {t}");
-    }
-}
-
-/// Every target × consolidation policy combination must drive the pipeline
+/// Every packer × consolidation policy combination must drive the pipeline
 /// through demand churn, deficit and consolidation without panicking or
 /// losing apps, and the selection must be deterministic (same config ⇒ same
 /// trajectory).
 #[test]
 fn every_policy_combo_is_deterministic_and_conserves_apps() {
-    use crate::config::{ConsolidationPolicyChoice, TargetPolicyChoice};
+    use crate::config::{ConsolidationPolicyChoice, PackerChoice};
 
-    for target in [
-        TargetPolicyChoice::AscendingId,
-        TargetPolicyChoice::BestFit,
-        TargetPolicyChoice::ThermalHeadroom,
+    for packer in [
+        PackerChoice::Ffdlr,
+        PackerChoice::FirstFitDecreasing,
+        PackerChoice::BestFitDecreasing,
+        PackerChoice::NextFit,
     ] {
         for consolidation in [
             ConsolidationPolicyChoice::HotZonesFirst,
@@ -474,7 +441,7 @@ fn every_policy_combo_is_deterministic_and_conserves_apps() {
         ] {
             let (tree, specs, n_apps) = small_setup(2);
             let mut cfg = ControllerConfig::default();
-            cfg.target_policy = target;
+            cfg.packer = packer;
             cfg.consolidation_policy = consolidation;
             let mut a = Willow::new(tree.clone(), specs.clone(), cfg.clone()).unwrap();
             let mut b = Willow::new(tree, specs, cfg).unwrap();
@@ -487,10 +454,10 @@ fn every_policy_combo_is_deterministic_and_conserves_apps() {
                 let rb = b.step(&d, supply);
                 assert_eq!(
                     ra, rb,
-                    "{target:?}/{consolidation:?} nondeterministic at {t}"
+                    "{packer:?}/{consolidation:?} nondeterministic at {t}"
                 );
                 let hosted: usize = a.servers().iter().map(|s| s.apps.len()).sum();
-                assert_eq!(hosted, n_apps, "{target:?}/{consolidation:?} lost apps");
+                assert_eq!(hosted, n_apps, "{packer:?}/{consolidation:?} lost apps");
             }
         }
     }

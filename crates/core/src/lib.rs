@@ -36,12 +36,12 @@
 //!   flags).
 //! * [`migration`] — migration records, reasons, and per-tick reports.
 //! * [`command`] — the live-ops command plane: typed operator commands
-//!   (server add/remove, drain, policy hot-swap, pause/resume) processed
+//!   (server add/remove, drain, packer hot-swap, pause/resume) processed
 //!   at a fixed point in the tick.
 //! * [`control`] — [`control::Willow`] itself: `step()` once per `Δ_D`
 //!   with measured app demands and the current total supply, staged as a
-//!   five-phase pipeline with pluggable policies (also reachable under
-//!   its historical name, `controller`).
+//!   five-phase pipeline whose policies are chosen by config fields
+//!   (also reachable under its historical name, `controller`).
 //!
 //! ## Minimal use
 //!

@@ -289,7 +289,7 @@ impl ReferenceWillow {
     }
 
     fn packer(&self) -> Box<dyn Packer> {
-        willow_binpack::packer_for(self.config.packer)
+        Box::new(self.config.packer)
     }
 
     /// Effective packing size of a demand parcel: the moved demand plus the

@@ -187,16 +187,15 @@ mod tests {
         log
     }
 
-    /// Policies carry no serialized state: a restored controller must
-    /// reconstruct *non-default* target/consolidation policies from the
-    /// snapshot's config alone and continue in lockstep.
+    /// Policies live only in the config: a restored controller must run
+    /// *non-default* packer/consolidation policies from the snapshot's
+    /// config alone and continue in lockstep.
     #[test]
     fn restore_reconstructs_nondefault_policies_from_config() {
-        use crate::config::{ConsolidationPolicyChoice, PackerChoice, TargetPolicyChoice};
+        use crate::config::{ConsolidationPolicyChoice, PackerChoice};
 
         let mut cfg = ControllerConfig::default();
         cfg.packer = PackerChoice::BestFitDecreasing;
-        cfg.target_policy = TargetPolicyChoice::ThermalHeadroom;
         cfg.consolidation_policy = ConsolidationPolicyChoice::MostHeadroomReceivers;
         let (mut original, n_apps) = setup_with(cfg);
         let _ = drive(&mut original, n_apps, 37);
