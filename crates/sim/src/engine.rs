@@ -38,6 +38,9 @@ pub struct Simulation {
     tick: usize,
     /// AR(1) state per application driving slow load drift.
     drift: Vec<f64>,
+    /// This tick's per-application demand draw, indexed like `apps`;
+    /// taken out and put back each tick so the draw reuses one buffer.
+    demands: Vec<Watts>,
     /// Rolls the configured fault plan, if any. Uses its own RNG, so a
     /// quiet plan leaves the workload stream — and thus the whole
     /// trajectory — untouched.
@@ -148,6 +151,7 @@ impl Simulation {
             level1,
             tick: 0,
             drift: vec![0.0; n_apps],
+            demands: Vec::with_capacity(n_apps),
             injector,
             registry: willow_telemetry::TelemetryRegistry::disabled(),
             tick_hist: willow_telemetry::Histogram::default(),
@@ -260,17 +264,14 @@ impl Simulation {
         };
         let amp = self.config.demand_drift;
         let innovation = (1.0 - DRIFT_RHO * DRIFT_RHO).sqrt();
-        let demands: Vec<Watts> = self
-            .apps
-            .iter()
-            .zip(self.drift.iter_mut())
-            .map(|(a, x)| {
-                // Slow per-app intensity drift (stationary, zero-mean).
-                *x = DRIFT_RHO * *x + innovation * (self.rng.gen::<f64>() * 2.0 - 1.0);
-                let eff_u = (u * (1.0 + amp * *x)).clamp(0.0, 1.0);
-                self.demand_model.sample_app_demand(&mut self.rng, a, eff_u)
-            })
-            .collect();
+        let mut demands = std::mem::take(&mut self.demands);
+        demands.clear();
+        demands.extend(self.apps.iter().zip(self.drift.iter_mut()).map(|(a, x)| {
+            // Slow per-app intensity drift (stationary, zero-mean).
+            *x = DRIFT_RHO * *x + innovation * (self.rng.gen::<f64>() * 2.0 - 1.0);
+            let eff_u = (u * (1.0 + amp * *x)).clamp(0.0, 1.0);
+            self.demand_model.sample_app_demand(&mut self.rng, a, eff_u)
+        }));
         let base_supply = match &self.config.supply {
             Some(trace) => {
                 // Supply changes at the Δ_S granularity: index by supply
@@ -360,6 +361,7 @@ impl Simulation {
             }
             self.willow.step_into(&demands, supply, &disturb, report);
         }
+        self.demands = demands;
         self.commands_applied += report.commands_applied;
         self.commands_rejected += report.commands_rejected;
         self.drain_stranded_app_ticks += report.stranded_apps;
