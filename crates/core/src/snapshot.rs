@@ -240,6 +240,55 @@ mod tests {
         }
     }
 
+    /// Checkpoints written while every application still carried its
+    /// class label as a `class_name` string must restore, and step, exactly
+    /// like the same checkpoint without the key.
+    #[test]
+    fn restore_ignores_legacy_app_class_name_key() {
+        /// Insert `class_name` after `class_index` in every application
+        /// object; returns how many it touched.
+        fn add_class_name(v: &mut serde::Value) -> usize {
+            match v {
+                serde::Value::Object(fields) => {
+                    let mut added: usize = fields.iter_mut().map(|(_, f)| add_class_name(f)).sum();
+                    let is_app = ["id", "class_index", "mean_power", "priority"]
+                        .iter()
+                        .all(|k| fields.iter().any(|(name, _)| name == k));
+                    if is_app {
+                        let at = fields.iter().position(|(k, _)| k == "class_index");
+                        let at = at.expect("apps carry a class index");
+                        let class = fields[at].1.as_u64().expect("class index") as usize;
+                        let label = SIM_APP_CLASSES[class].name.to_owned();
+                        fields.insert(at + 1, ("class_name".into(), serde::Value::Str(label)));
+                        added += 1;
+                    }
+                    added
+                }
+                serde::Value::Array(items) => items.iter_mut().map(add_class_name).sum(),
+                _ => 0,
+            }
+        }
+
+        let (mut w, n_apps) = setup();
+        let _ = drive(&mut w, n_apps, 20);
+        let json = serde_json::to_string(&w.snapshot()).expect("serialize");
+        let mut tree = serde_json::parse(&json).expect("parse");
+        assert!(
+            add_class_name(&mut tree) >= n_apps,
+            "every app gains the key"
+        );
+        let legacy = serde_json::to_string(&tree).expect("serialize legacy");
+        assert!(legacy.contains("\"class_name\":\"w1\""));
+
+        let plain: WillowSnapshot = serde_json::from_str(&json).expect("plain parse");
+        let old: WillowSnapshot = serde_json::from_str(&legacy).expect("legacy parse");
+        assert_eq!(old, plain, "the extra key is ignored");
+        let mut a = Willow::restore(plain).expect("plain restore");
+        let mut b = Willow::restore(old).expect("legacy restore");
+        assert_eq!(drive(&mut a, n_apps, 40), drive(&mut b, n_apps, 40));
+        assert_eq!(a.snapshot(), b.snapshot());
+    }
+
     /// Pre-planning checkpoints carry no `planning` key: they must still
     /// parse, restore, and run — the restored controller simply restarts
     /// its forecasts from scratch.
