@@ -35,38 +35,38 @@ type Golden = (
 
 #[rustfmt::skip]
 const GOLDEN: [Golden; 32] = [
-    ("hot_cold", PackerChoice::Ffdlr, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0xa9029c72920f20d0),
-    ("hot_cold", PackerChoice::Ffdlr, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0xa76d97dbd061fb18),
-    ("hot_cold", PackerChoice::Ffdlr, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0x856ae91f9157c1ab),
-    ("hot_cold", PackerChoice::Ffdlr, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0x1842480964b35408),
-    ("hot_cold", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0xa9029c72920f20d0),
-    ("hot_cold", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0xa76d97dbd061fb18),
-    ("hot_cold", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0x856ae91f9157c1ab),
-    ("hot_cold", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0x1842480964b35408),
-    ("hot_cold", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0xa9029c72920f20d0),
-    ("hot_cold", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0xa76d97dbd061fb18),
-    ("hot_cold", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0x856ae91f9157c1ab),
-    ("hot_cold", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0x1842480964b35408),
-    ("hot_cold", PackerChoice::NextFit, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0xa9029c72920f20d0),
-    ("hot_cold", PackerChoice::NextFit, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0xa76d97dbd061fb18),
-    ("hot_cold", PackerChoice::NextFit, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0x856ae91f9157c1ab),
-    ("hot_cold", PackerChoice::NextFit, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0x1842480964b35408),
-    ("brownout", PackerChoice::Ffdlr, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0xfaa90764430908ad),
-    ("brownout", PackerChoice::Ffdlr, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0x0f1079417dfaf9ee),
-    ("brownout", PackerChoice::Ffdlr, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0xaea89073d8f39ace),
-    ("brownout", PackerChoice::Ffdlr, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0xd0d1f4e361e8b6d9),
-    ("brownout", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0x5e174e895eb3dc59),
-    ("brownout", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0xaa56724ba83ec15b),
-    ("brownout", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0xf1abf28a102c3a8b),
-    ("brownout", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0xaa56724ba83ec15b),
-    ("brownout", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0xfaa90764430908ad),
-    ("brownout", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0x0f1079417dfaf9ee),
-    ("brownout", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0xaea89073d8f39ace),
-    ("brownout", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0xd0d1f4e361e8b6d9),
-    ("brownout", PackerChoice::NextFit, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0xdcda75cf0a7c3f7b),
-    ("brownout", PackerChoice::NextFit, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0x2625b7bd655eb177),
-    ("brownout", PackerChoice::NextFit, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0x21038ae02a4a9211),
-    ("brownout", PackerChoice::NextFit, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0x2625b7bd655eb177),
+    ("hot_cold", PackerChoice::Ffdlr, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0x217d826b549d17b5),
+    ("hot_cold", PackerChoice::Ffdlr, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0x217d826b549d17b5),
+    ("hot_cold", PackerChoice::Ffdlr, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0x974bf7d4c190ef9f),
+    ("hot_cold", PackerChoice::Ffdlr, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0x974bf7d4c190ef9f),
+    ("hot_cold", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0x205083e63df7fa01),
+    ("hot_cold", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0x205083e63df7fa01),
+    ("hot_cold", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0x974bf7d4c190ef9f),
+    ("hot_cold", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0x974bf7d4c190ef9f),
+    ("hot_cold", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0x217d826b549d17b5),
+    ("hot_cold", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0x217d826b549d17b5),
+    ("hot_cold", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0x974bf7d4c190ef9f),
+    ("hot_cold", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0x974bf7d4c190ef9f),
+    ("hot_cold", PackerChoice::NextFit, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0x65a978c8ea9f6a14),
+    ("hot_cold", PackerChoice::NextFit, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0x65a978c8ea9f6a14),
+    ("hot_cold", PackerChoice::NextFit, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0x974bf7d4c190ef9f),
+    ("hot_cold", PackerChoice::NextFit, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0x974bf7d4c190ef9f),
+    ("brownout", PackerChoice::Ffdlr, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0x0297b4daca136052),
+    ("brownout", PackerChoice::Ffdlr, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0xaf85474c45b0b7e8),
+    ("brownout", PackerChoice::Ffdlr, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0xc6fda8bfb70e881d),
+    ("brownout", PackerChoice::Ffdlr, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0x9f3f069ff4972689),
+    ("brownout", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0x54adaf6f5eef3307),
+    ("brownout", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0x59051d50e82c6588),
+    ("brownout", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0x20909be13653e669),
+    ("brownout", PackerChoice::FirstFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0x375fea83cfcd5255),
+    ("brownout", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0x0297b4daca136052),
+    ("brownout", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0xaf85474c45b0b7e8),
+    ("brownout", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0xc6fda8bfb70e881d),
+    ("brownout", PackerChoice::BestFitDecreasing, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0x9f3f069ff4972689),
+    ("brownout", PackerChoice::NextFit, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Reactive, 0x5da1639611c79f71),
+    ("brownout", PackerChoice::NextFit, ConsolidationPolicyChoice::HotZonesFirst, SupplyPolicyChoice::Predictive, 0xfda3fa2f78287841),
+    ("brownout", PackerChoice::NextFit, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Reactive, 0xdef71f5ab900ef14),
+    ("brownout", PackerChoice::NextFit, ConsolidationPolicyChoice::MostHeadroomReceivers, SupplyPolicyChoice::Predictive, 0x9863e859a2ca2c9e),
 ];
 
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
